@@ -1,8 +1,7 @@
-// Engine speedup bench on the synthetic 36k-row hotel workload, in two
-// dimensions: the dictionary-encoded columnar backend vs the Value-based
-// oracle path (serial, the algorithmic speedup), and parallel runs at 1/2/8
-// threads on the encoded backend (the scaling speedup). Exits nonzero if
-// any run deviates from the serial Value-based result — speedups are
+// Engine speedup bench on the synthetic 36k-row hotel workload: every
+// miner and quality application runs serially and at 1/2/8 threads (with
+// a shared PLI cache where the algorithm takes one). Exits nonzero if any
+// parallel run deviates from the serial result — speedups are
 // hardware-dependent, byte-identity is not. Writes BENCH_engine.json with
 // every timing so EXPERIMENTS.md tables regenerate from one artifact.
 
@@ -64,23 +63,18 @@ bool SameFds(const std::vector<DiscoveredFd>& a,
 
 struct Row {
   std::string name;
-  double value_ms = 0;    // serial, Value-based oracle path
-  double encoded_ms = 0;  // serial, dictionary-encoded backend
+  double serial_ms = 0;  // no pool, no cache
   double one_thread_ms = 0;
   double two_thread_ms = 0;
   double eight_thread_ms = 0;
   bool identical = true;
-  double encoded_speedup() const {
-    return encoded_ms > 0 ? value_ms / encoded_ms : 0.0;
-  }
 };
 
 void PrintRow(const Row& row) {
-  std::printf(
-      "| %-22s | %9.1f | %9.1f | %7.2fx | %8.1f | %8.1f | %8.1f | %-9s |\n",
-      row.name.c_str(), row.value_ms, row.encoded_ms, row.encoded_speedup(),
-      row.one_thread_ms, row.two_thread_ms, row.eight_thread_ms,
-      row.identical ? "identical" : "MISMATCH");
+  std::printf("| %-22s | %9.1f | %8.1f | %8.1f | %8.1f | %-9s |\n",
+              row.name.c_str(), row.serial_ms, row.one_thread_ms,
+              row.two_thread_ms, row.eight_thread_ms,
+              row.identical ? "identical" : "MISMATCH");
 }
 
 /// One row of the evidence-kernel ablation: the encoded fast path with the
@@ -106,16 +100,15 @@ void PrintPairwiseRow(const PairwiseRow& row) {
 }
 
 /// Runs one pairwise consumer through the kernel ablation grid. `options`
-/// carries the workload knobs; encoding is forced on and the pool off so
-/// the kernel is the only variable. The store run executes twice — the
-/// first populates `evidence`, the second times the hit.
+/// carries the workload knobs; the pool is forced off so the kernel is the
+/// only variable. The store run executes twice — the first populates
+/// `evidence`, the second times the hit.
 template <typename Options, typename Runner, typename Same>
 bool BenchPairwise(const std::string& name, Options options, Runner run,
                    Same same, EvidenceCache* evidence,
                    std::vector<PairwiseRow>* rows, bool* all_identical) {
   PairwiseRow row{name};
   Options base = options;
-  base.use_encoding = true;
   base.pool = nullptr;
   base.evidence = nullptr;
   Options off = base;
@@ -365,13 +358,12 @@ void WriteJson(const std::vector<Row>& rows,
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"serial_value_ms\": %.3f, "
-                 "\"serial_encoded_ms\": %.3f, \"encoded_speedup\": %.3f, "
+                 "    {\"name\": \"%s\", \"serial_encoded_ms\": %.3f, "
                  "\"parallel_encoded_ms\": {\"1\": %.3f, \"2\": %.3f, "
                  "\"8\": %.3f}, \"identical\": %s}%s\n",
-                 r.name.c_str(), r.value_ms, r.encoded_ms,
-                 r.encoded_speedup(), r.one_thread_ms, r.two_thread_ms,
-                 r.eight_thread_ms, r.identical ? "true" : "false",
+                 r.name.c_str(), r.serial_ms, r.one_thread_ms,
+                 r.two_thread_ms, r.eight_thread_ms,
+                 r.identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -466,38 +458,29 @@ void WriteJson(const std::vector<Row>& rows,
   std::fclose(f);
 }
 
-/// Runs one algorithm through the standard grid — serial Value oracle,
-/// serial encoded, and 1/2/8-thread encoded+cache — and records the row.
-/// `run` invokes the algorithm with the given options; `same` compares an
-/// output against the oracle's. Returns false on an algorithm error.
+/// Runs one algorithm through the standard grid — serial, then 1/2/8
+/// threads (plus a fresh PliCache when the options take one) — and records
+/// the row. `run` invokes the algorithm with the given options; `same`
+/// compares a parallel output against the serial one. When `cache_stats`
+/// is set it receives the 8-thread run's cache counters. Returns false on
+/// an algorithm error.
 template <typename Options, typename Runner, typename Same>
 bool BenchPorted(const std::string& name, const Relation& relation,
                  Options options, Runner run, Same same,
-                 std::vector<Row>* rows, bool* all_identical) {
+                 std::vector<Row>* rows, bool* all_identical,
+                 PliCache::Stats* cache_stats = nullptr) {
   Row row{name};
-  Options value_opts = options;
-  value_opts.use_encoding = false;
-  value_opts.pool = nullptr;
-  value_opts.cache = nullptr;
+  options.pool = nullptr;
   auto start = std::chrono::steady_clock::now();
-  auto oracle = run(value_opts);
-  row.value_ms = MillisSince(start);
-  if (!oracle.ok()) return false;
-  Options encoded_opts = options;
-  encoded_opts.use_encoding = true;
-  encoded_opts.pool = nullptr;
-  encoded_opts.cache = nullptr;
-  start = std::chrono::steady_clock::now();
-  auto serial = run(encoded_opts);
-  row.encoded_ms = MillisSince(start);
+  auto serial = run(options);
+  row.serial_ms = MillisSince(start);
   if (!serial.ok()) return false;
-  row.identical = same(*oracle, *serial);
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     PliCache cache(relation);
-    Options parallel = encoded_opts;
+    Options parallel = options;
     parallel.pool = &pool;
-    parallel.cache = &cache;
+    if constexpr (requires { parallel.cache; }) parallel.cache = &cache;
     start = std::chrono::steady_clock::now();
     auto result = run(parallel);
     double ms = MillisSince(start);
@@ -505,7 +488,8 @@ bool BenchPorted(const std::string& name, const Relation& relation,
     (threads == 1   ? row.one_thread_ms
      : threads == 2 ? row.two_thread_ms
                     : row.eight_thread_ms) = ms;
-    row.identical = row.identical && same(*oracle, *result);
+    row.identical = row.identical && same(*serial, *result);
+    if (threads == 8 && cache_stats != nullptr) *cache_stats = cache.stats();
   }
   *all_identical = *all_identical && row.identical;
   PrintRow(row);
@@ -526,188 +510,91 @@ int Run() {
   std::printf("hotel relation: %d rows x %d columns\n\n", hotels.num_rows(),
               hotels.num_columns());
   std::printf(
-      "| %-22s | value ms  | encode ms | enc spd | 1-thr ms | 2-thr ms | "
-      "8-thr ms | result    |\n",
+      "| %-22s | serial ms | 1-thr ms | 2-thr ms | 8-thr ms | result    |\n",
       "benchmark");
   std::printf(
-      "|------------------------|-----------|-----------|---------|----------"
-      "|----------|----------|-----------|\n");
+      "|------------------------|-----------|----------|----------|----------"
+      "|-----------|\n");
 
   bool all_identical = true;
   std::vector<Row> rows;
   PliCache::Stats tane_cache_stats;
 
-  {  // TANE in AFD mode: the g3 validity tests dominate.
-    Row row{"tane g3<=0.05"};
-    TaneOptions options;
-    options.max_error = 0.05;
-    options.max_lhs_size = 3;
-    TaneOptions value_opts = options;
-    value_opts.use_encoding = false;
-    auto start = std::chrono::steady_clock::now();
-    auto oracle = DiscoverFdsTane(hotels, value_opts);
-    row.value_ms = MillisSince(start);
-    if (!oracle.ok()) return 2;
-    start = std::chrono::steady_clock::now();
-    auto serial = DiscoverFdsTane(hotels, options);
-    row.encoded_ms = MillisSince(start);
-    if (!serial.ok()) return 2;
-    row.identical = SameFds(*oracle, *serial);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      PliCache cache(hotels);
-      TaneOptions parallel = options;
-      parallel.pool = &pool;
-      parallel.cache = &cache;
-      start = std::chrono::steady_clock::now();
-      auto result = DiscoverFdsTane(hotels, parallel);
-      double ms = MillisSince(start);
-      if (!result.ok()) return 2;
-      (threads == 1   ? row.one_thread_ms
-       : threads == 2 ? row.two_thread_ms
-                      : row.eight_thread_ms) = ms;
-      row.identical = row.identical && SameFds(*oracle, *result);
-      if (threads == 8) tane_cache_stats = cache.stats();
-    }
-    all_identical = all_identical && row.identical;
-    PrintRow(row);
-    rows.push_back(row);
+  // TANE in AFD mode: the g3 validity tests dominate.
+  TaneOptions tane_options;
+  tane_options.max_error = 0.05;
+  tane_options.max_lhs_size = 3;
+  if (!BenchPorted(
+          "tane g3<=0.05", hotels, tane_options,
+          [&](const TaneOptions& o) { return DiscoverFdsTane(hotels, o); },
+          SameFds, &rows, &all_identical, &tane_cache_stats)) {
+    return 2;
   }
 
-  {  // FastFDs on a slice (difference sets are quadratic in rows).
-    Row row{"fastfd 500-row slice"};
-    std::vector<int> slice_rows;
-    for (int i = 0; i < 500 && i < hotels.num_rows(); ++i) {
-      slice_rows.push_back(i);
-    }
-    Relation slice = hotels.Select(slice_rows);
-    FastFdOptions options;
-    FastFdOptions value_opts = options;
-    value_opts.use_encoding = false;
-    auto start = std::chrono::steady_clock::now();
-    auto oracle = DiscoverFdsFastFd(slice, value_opts);
-    row.value_ms = MillisSince(start);
-    if (!oracle.ok()) return 2;
-    start = std::chrono::steady_clock::now();
-    auto serial = DiscoverFdsFastFd(slice, options);
-    row.encoded_ms = MillisSince(start);
-    if (!serial.ok()) return 2;
-    row.identical = SameFds(*oracle, *serial);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      FastFdOptions parallel = options;
-      parallel.pool = &pool;
-      start = std::chrono::steady_clock::now();
-      auto result = DiscoverFdsFastFd(slice, parallel);
-      double ms = MillisSince(start);
-      if (!result.ok()) return 2;
-      (threads == 1   ? row.one_thread_ms
-       : threads == 2 ? row.two_thread_ms
-                      : row.eight_thread_ms) = ms;
-      row.identical = row.identical && SameFds(*oracle, *result);
-    }
-    all_identical = all_identical && row.identical;
-    PrintRow(row);
-    rows.push_back(row);
+  // FastFDs on a slice (difference sets are quadratic in rows).
+  std::vector<int> slice500;
+  for (int i = 0; i < 500 && i < hotels.num_rows(); ++i) {
+    slice500.push_back(i);
+  }
+  Relation fd_slice = hotels.Select(slice500);
+  if (!BenchPorted(
+          "fastfd 500-row slice", fd_slice, FastFdOptions{},
+          [&](const FastFdOptions& o) {
+            return DiscoverFdsFastFd(fd_slice, o);
+          },
+          SameFds, &rows, &all_identical)) {
+    return 2;
   }
 
-  {  // FASTDC evidence sets on a slice of the hotel table.
-    Row row{"fastdc 300-row slice"};
-    std::vector<int> slice_rows;
-    for (int i = 0; i < 300 && i < hotels.num_rows(); ++i) {
-      slice_rows.push_back(i);
-    }
-    Relation slice = hotels.Select(slice_rows);
-    FastDcOptions options;
-    options.max_predicates = 3;
-    FastDcOptions value_opts = options;
-    value_opts.use_encoding = false;
-    auto same_dcs = [](const std::vector<DiscoveredDc>& a,
-                       const std::vector<DiscoveredDc>& b) {
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].dc.ToString() != b[i].dc.ToString() ||
-            a[i].violation_fraction != b[i].violation_fraction) {
-          return false;
-        }
+  // FASTDC evidence sets on a slice of the hotel table.
+  std::vector<int> slice300;
+  for (int i = 0; i < 300 && i < hotels.num_rows(); ++i) {
+    slice300.push_back(i);
+  }
+  Relation dc_slice = hotels.Select(slice300);
+  FastDcOptions dc_options;
+  dc_options.max_predicates = 3;
+  auto same_dcs = [](const std::vector<DiscoveredDc>& a,
+                     const std::vector<DiscoveredDc>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].dc.ToString() != b[i].dc.ToString() ||
+          a[i].violation_fraction != b[i].violation_fraction) {
+        return false;
       }
-      return true;
-    };
-    auto start = std::chrono::steady_clock::now();
-    auto oracle = DiscoverDcs(slice, value_opts);
-    row.value_ms = MillisSince(start);
-    if (!oracle.ok()) return 2;
-    start = std::chrono::steady_clock::now();
-    auto serial = DiscoverDcs(slice, options);
-    row.encoded_ms = MillisSince(start);
-    if (!serial.ok()) return 2;
-    row.identical = same_dcs(*oracle, *serial);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      FastDcOptions parallel = options;
-      parallel.pool = &pool;
-      start = std::chrono::steady_clock::now();
-      auto result = DiscoverDcs(slice, parallel);
-      double ms = MillisSince(start);
-      if (!result.ok()) return 2;
-      (threads == 1   ? row.one_thread_ms
-       : threads == 2 ? row.two_thread_ms
-                      : row.eight_thread_ms) = ms;
-      row.identical = row.identical && same_dcs(*oracle, *result);
     }
-    all_identical = all_identical && row.identical;
-    PrintRow(row);
-    rows.push_back(row);
+    return true;
+  };
+  if (!BenchPorted(
+          "fastdc 300-row slice", dc_slice, dc_options,
+          [&](const FastDcOptions& o) { return DiscoverDcs(dc_slice, o); },
+          same_dcs, &rows, &all_identical)) {
+    return 2;
   }
 
-  {  // CORDS column-pair sweep over the full relation.
-    Row row{"cords full sweep"};
-    CordsOptions options;
-    CordsOptions value_opts = options;
-    value_opts.use_encoding = false;
-    auto same_sfds = [](const std::vector<DiscoveredSfd>& a,
-                        const std::vector<DiscoveredSfd>& b) {
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].lhs != b[i].lhs || a[i].rhs != b[i].rhs ||
-            a[i].strength != b[i].strength || a[i].chi2 != b[i].chi2 ||
-            a[i].cramers_v != b[i].cramers_v) {
-          return false;
-        }
-      }
-      return true;
-    };
-    auto start = std::chrono::steady_clock::now();
-    auto oracle = DiscoverSfdsCords(hotels, value_opts);
-    row.value_ms = MillisSince(start);
-    if (!oracle.ok()) return 2;
-    start = std::chrono::steady_clock::now();
-    auto serial = DiscoverSfdsCords(hotels, options);
-    row.encoded_ms = MillisSince(start);
-    if (!serial.ok()) return 2;
-    row.identical = same_sfds(*oracle, *serial);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      CordsOptions parallel = options;
-      parallel.pool = &pool;
-      start = std::chrono::steady_clock::now();
-      auto result = DiscoverSfdsCords(hotels, parallel);
-      double ms = MillisSince(start);
-      if (!result.ok()) return 2;
-      (threads == 1   ? row.one_thread_ms
-       : threads == 2 ? row.two_thread_ms
-                      : row.eight_thread_ms) = ms;
-      row.identical = row.identical && same_sfds(*oracle, *result);
-    }
-    all_identical = all_identical && row.identical;
-    PrintRow(row);
-    rows.push_back(row);
+  // CORDS column-pair sweep over the full relation.
+  if (!BenchPorted(
+          "cords full sweep", hotels, CordsOptions{},
+          [&](const CordsOptions& o) { return DiscoverSfdsCords(hotels, o); },
+          [](const std::vector<DiscoveredSfd>& a,
+             const std::vector<DiscoveredSfd>& b) {
+            if (a.size() != b.size()) return false;
+            for (size_t i = 0; i < a.size(); ++i) {
+              if (a[i].lhs != b[i].lhs || a[i].rhs != b[i].rhs ||
+                  a[i].strength != b[i].strength || a[i].chi2 != b[i].chi2 ||
+                  a[i].cramers_v != b[i].cramers_v) {
+                return false;
+              }
+            }
+            return true;
+          },
+          &rows, &all_identical)) {
+    return 2;
   }
 
   // ------------------------------------------------- ported algorithms
-  // Rows for the miners and quality applications ported onto the unified
-  // fast path in this PR. Quadratic algorithms run on row slices.
-  size_t first_ported = rows.size();
+  // Rows for the miners and quality applications on the unified fast
+  // path. Quadratic algorithms run on row slices.
 
   std::vector<int> slice400;
   for (int i = 0; i < 400 && i < hotels.num_rows(); ++i) {
@@ -950,36 +837,10 @@ int Run() {
 
   EvidenceCache evidence;
   std::vector<PairwiseRow> pairwise;
-  std::vector<int> slice300;
-  for (int i = 0; i < 300 && i < hotels.num_rows(); ++i) {
-    slice300.push_back(i);
-  }
-  Relation dc_slice = hotels.Select(slice300);
-  FastDcOptions dc_options;
-  dc_options.max_predicates = 3;
-  auto same_dcs = [](const std::vector<DiscoveredDc>& a,
-                     const std::vector<DiscoveredDc>& b) {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].dc.ToString() != b[i].dc.ToString() ||
-          a[i].violation_fraction != b[i].violation_fraction) {
-        return false;
-      }
-    }
-    return true;
-  };
   if (!BenchPairwise(
           "fastdc 300-row slice", dc_options,
           [&](const FastDcOptions& o) { return DiscoverDcs(dc_slice, o); },
           same_dcs, &evidence, &pairwise, &all_identical)) {
-    return 2;
-  }
-  if (!BenchPairwise(
-          "constant cfds 4k slice", cfd_options,
-          [&](const CfdDiscoveryOptions& o) {
-            return DiscoverConstantCfds(medium, o);
-          },
-          same_cfds, &evidence, &pairwise, &all_identical)) {
     return 2;
   }
   if (!BenchPairwise(
@@ -1386,18 +1247,6 @@ int Run() {
     hybrid_fd_rows.push_back(row);
   }
 
-  int ported_fast = 0;
-  for (size_t i = first_ported; i < rows.size(); ++i) {
-    if (rows[i].encoded_speedup() >= 2.0) ++ported_fast;
-  }
-  std::printf(
-      "\nnewly ported rows with >=2x encoded speedup over the serial "
-      "Value path: %d of %zu (target: >=3)\n",
-      ported_fast, rows.size() - first_ported);
-  if (ported_fast < 3) {
-    std::printf("WARN: fewer than 3 ported algorithms hit the 2x target\n");
-  }
-
   std::printf(
       "\npli cache (8-thread tane): hits=%lld misses=%lld evictions=%lld "
       "builds=%lld bytes=%zu\n",
@@ -1406,9 +1255,6 @@ int Run() {
       static_cast<long long>(tane_cache_stats.evictions),
       static_cast<long long>(tane_cache_stats.builds),
       tane_cache_stats.bytes);
-  std::printf(
-      "enc spd = serial Value-path ms / serial encoded ms (algorithmic); "
-      "thread columns run the encoded backend\n");
   std::printf("speedups are hardware dependent; byte-identity is the hard "
               "check\n");
   WriteJson(rows, pairwise, deadlines, hybrid_fd_rows, hybrid_md_rows,
@@ -1416,12 +1262,8 @@ int Run() {
             evidence_stats);
   std::printf("wrote BENCH_engine.json\n");
   if (!all_identical) {
-    std::printf("FAIL: a run deviated from the serial Value-based result\n");
+    std::printf("FAIL: a run deviated from the serial result\n");
     return 1;
-  }
-  if (!rows.empty() && rows[0].encoded_speedup() < 2.0) {
-    std::printf("WARN: tane encoded speedup %.2fx below the 2x target\n",
-                rows[0].encoded_speedup());
   }
   return 0;
 }

@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
-# Four-step test gate, run before merging:
+# Five-step test gate, run before merging:
 #
 #   1. Release     — the full tier-1 suite (the seed gate).
-#   2. ASan + UBSan — the relation substrate and the parallel engine
+#   2. Stress      — the engine, ingest and serve suites repeated in
+#                     parallel on the Release tree (`ctest -j$(nproc)
+#                     --repeat until-fail:10`), so scheduling-dependent
+#                     failures surface before merge instead of as flakes.
+#   3. ASan + UBSan — the relation substrate and the parallel engine
 #                     (`-L relation`, `-L engine`), catching index
 #                     arithmetic and lifetime bugs in the encoded
 #                     columnar layer and the discovery drivers.
-#   3. TSan        — the parallel engine differential/property tests
+#   4. TSan        — the parallel engine differential/property tests
 #                     (`-L engine`), catching data races across the
 #                     thread-count {1, 2, 8} matrix.
-#   4. Chaos smoke — the famtree-serve stress harness at intensified
+#   5. Chaos smoke — the famtree-serve stress harness at intensified
 #                     client/request counts in a fault-injection build
 #                     (-DFAMTREE_FAULTS=ON), so the fine-grained
 #                     FAMTREE_FAULT_POINT probes are compiled in while
@@ -43,7 +47,7 @@ run() {
   "$@"
 }
 
-echo "=== [0/4] lint: no raw single-word attribute masks ==="
+echo "=== [0/5] lint: no raw single-word attribute masks ==="
 # Attribute-index bit arithmetic lives in the multi-word AttrSet; a raw
 # `1ULL << n` over an attribute count reintroduces the pre-widening UB the
 # moment n reaches 64. The allowlist is the AttrSet implementation itself
@@ -61,12 +65,16 @@ if [ -n "$LINT_HITS" ]; then
   exit 1
 fi
 
-echo "=== [1/4] Release: ctest -L tier1 ==="
+echo "=== [1/5] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"
 run ctest --test-dir "$PREFIX" -L tier1 -j "$JOBS" --output-on-failure
 
-echo "=== [2/4] ASan+UBSan: ctest -L relation, -L engine, -L ingest, -L serve ==="
+echo "=== [2/5] stress: ctest -L 'engine|ingest|serve' --repeat until-fail:10 ==="
+run ctest --test-dir "$PREFIX" -L 'engine|ingest|serve' -j "$JOBS" \
+  --repeat until-fail:10 --output-on-failure
+
+echo "=== [3/5] ASan+UBSan: ctest -L relation, -L engine, -L ingest, -L serve ==="
 run cmake -B "$PREFIX-asan" -DFAMTREE_ASAN=ON >/dev/null
 run cmake --build "$PREFIX-asan" -j "$JOBS"
 run ctest --test-dir "$PREFIX-asan" -L relation -j "$JOBS" --output-on-failure
@@ -74,14 +82,14 @@ run ctest --test-dir "$PREFIX-asan" -L engine -j "$JOBS" --output-on-failure
 run ctest --test-dir "$PREFIX-asan" -L ingest -j "$JOBS" --output-on-failure
 run ctest --test-dir "$PREFIX-asan" -L serve -j "$JOBS" --output-on-failure
 
-echo "=== [3/4] TSan: ctest -L engine, -L ingest, -L serve ==="
+echo "=== [4/5] TSan: ctest -L engine, -L ingest, -L serve ==="
 run cmake -B "$PREFIX-tsan" -DFAMTREE_TSAN=ON >/dev/null
 run cmake --build "$PREFIX-tsan" -j "$JOBS"
 run ctest --test-dir "$PREFIX-tsan" -L engine -j "$JOBS" --output-on-failure
 run ctest --test-dir "$PREFIX-tsan" -L ingest -j "$JOBS" --output-on-failure
 run ctest --test-dir "$PREFIX-tsan" -L serve -j "$JOBS" --output-on-failure
 
-echo "=== [4/4] chaos smoke: serve stress under -DFAMTREE_FAULTS=ON ==="
+echo "=== [5/5] chaos smoke: serve stress under -DFAMTREE_FAULTS=ON ==="
 # A dedicated Release build with the fine-grained fault points compiled in
 # (they default OFF outside Debug), driven harder than the in-suite run:
 # more clients and more requests per client, so admission, retry, the
@@ -92,4 +100,4 @@ run cmake --build "$PREFIX-faults" -j "$JOBS" --target serve_chaos_test
 run env FAMTREE_CHAOS_CLIENTS=12 FAMTREE_CHAOS_REQUESTS=20 \
   "$PREFIX-faults/tests/serve_chaos_test"
 
-echo "=== all four steps passed ==="
+echo "=== all five steps passed ==="

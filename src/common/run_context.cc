@@ -98,6 +98,14 @@ Status RunContext::ChargeAlloc(RunContext* ctx, size_t bytes,
         StatusCode::kResourceExhausted,
         std::string("injected allocation failure at site '") + site + "'");
   }
+  return ChargeBudget(ctx, bytes, site);
+}
+
+Status RunContext::ChargeBudget(RunContext* ctx, size_t bytes,
+                                const char* site) {
+  if (ctx == nullptr) return Status::OK();
+  int latched = ctx->stop_code_.load(std::memory_order_acquire);
+  if (latched != 0) return ctx->LatchedStatus();
   if (ctx->budget_ != nullptr && bytes > 0 &&
       !ctx->budget_->TryCharge(bytes)) {
     return ctx->LatchStop(

@@ -240,6 +240,12 @@ class RunContext {
   /// caller must back out without publishing partially built state.
   static Status ChargeAlloc(RunContext* ctx, size_t bytes, const char* site);
 
+  /// ChargeAlloc without the injector consult: the latched state, then the
+  /// budget charge (latching kResourceExhausted on failure). For callers
+  /// that consult `site` once up front and then retry the charge
+  /// themselves (ShardedEncodedRelation::ChargeWithSpill).
+  static Status ChargeBudget(RunContext* ctx, size_t bytes, const char* site);
+
   /// Injector-only probe for fault points that model an allocation without
   /// a meaningful byte count (see FAMTREE_FAULT_POINT).
   static Status FaultPoint(RunContext* ctx, const char* site);

@@ -22,21 +22,15 @@ MetricPtr MetricForColumn(const Relation& relation, int attr) {
   return DefaultMetricFor(relation.schema().column(attr).type);
 }
 
-/// All pairwise distances on one attribute (n <= a few thousand). When a
-/// distance table is given the metric runs once per distinct code pair;
-/// the returned doubles are bit-identical to the Value-path ones.
+/// All finite pairwise distances on one attribute (n <= a few thousand).
 std::vector<double> PairwiseDistances(const Relation& relation, int attr,
-                                      const Metric& metric,
-                                      const CodeDistanceTable* table) {
+                                      const Metric& metric) {
   std::vector<double> out;
   int n = relation.num_rows();
   out.reserve(static_cast<size_t>(n) * (n - 1) / 2);
   for (int i = 0; i + 1 < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
-      double d = table != nullptr
-                     ? table->RowDistance(i, j)
-                     : metric.Distance(relation.Get(i, attr),
-                                       relation.Get(j, attr));
+      double d = metric.Distance(relation.Get(i, attr), relation.Get(j, attr));
       if (std::isfinite(d)) out.push_back(d);
     }
   }
@@ -127,7 +121,7 @@ std::vector<double> DetermineThresholds(const Relation& relation, int attr,
                                         const std::vector<double>& quantiles) {
   MetricPtr metric = MetricForColumn(relation, attr);
   return ThresholdsFromDistances(
-      PairwiseDistances(relation, attr, *metric, nullptr), quantiles);
+      PairwiseDistances(relation, attr, *metric), quantiles);
 }
 
 Result<std::vector<DiscoveredDd>> DiscoverDds(
@@ -157,8 +151,7 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding,
-                      source == &input ? options.cache : nullptr,
+      ResolveEncoding(relation, source == &input ? options.cache : nullptr,
                       &local_encoding));
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "dds");
@@ -174,34 +167,21 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
   // Code-pair distance tables, one per attribute. Built before any outer
   // ParallelFor (each fill parallelizes internally on the same pool).
   std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-  if (encoded != nullptr) {
-    for (int a = 0; a < nc; ++a) {
-      Status st = RunContext::Poll(ctx);
-      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-      tables[a] =
-          std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
-    }
+  for (int a = 0; a < nc; ++a) {
+    Status st = RunContext::Poll(ctx);
+    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+    tables[a] =
+        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
   }
   // Per-attribute threshold candidates and global max pairwise distance
-  // (the vacuity bound): code-pair histograms on the encoded path, one
-  // O(n^2) scan per attribute on the oracle path — same sorted multiset,
-  // same picks.
+  // (the vacuity bound), read off code-pair histograms.
   std::vector<std::vector<double>> thresholds(nc);
   std::vector<double> global_max(nc, 0.0);
   Status threshold_status = ParallelFor(pool, nc, [&](int64_t a) {
     FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-    if (encoded != nullptr) {
-      HistogramThresholds(*encoded, static_cast<int>(a), *tables[a],
-                          options.threshold_quantiles, &thresholds[a],
-                          &global_max[a]);
-      return Status::OK();
-    }
-    std::vector<double> dists =
-        PairwiseDistances(relation, static_cast<int>(a), *metrics[a],
-                          tables[a].get());
-    for (double d : dists) global_max[a] = std::max(global_max[a], d);
-    thresholds[a] =
-        ThresholdsFromDistances(std::move(dists), options.threshold_quantiles);
+    HistogramThresholds(*encoded, static_cast<int>(a), *tables[a],
+                        options.threshold_quantiles, &thresholds[a],
+                        &global_max[a]);
     return Status::OK();
   });
   if (RunContext::IsStop(threshold_status)) {
@@ -248,7 +228,7 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
   // groups equal the pairwise folds, so the stats are bit-identical.
   bool used_evidence = false;
   int64_t candidates_done = 0;
-  if (encoded != nullptr && options.use_evidence) {
+  if (options.use_evidence) {
     std::vector<EvidenceColumn> config(nc);
     for (int a = 0; a < nc; ++a) {
       config[a].attr = a;
@@ -327,10 +307,7 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
           for (int j = i + 1; j < n; ++j) {
             bool ok = true;
             for (const auto& fn : lhs) {
-              double d = encoded != nullptr
-                             ? tables[fn.attr]->RowDistance(i, j)
-                             : fn.DistanceBetween(relation, i, j);
-              if (!fn.range.Contains(d)) {
+              if (!fn.range.Contains(tables[fn.attr]->RowDistance(i, j))) {
                 ok = false;
                 break;
               }
@@ -339,10 +316,7 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
             ++st.support;
             for (int b = 0; b < nc; ++b) {
               if (!st.finite[b]) continue;
-              double d = encoded != nullptr
-                             ? tables[b]->RowDistance(i, j)
-                             : metrics[b]->Distance(relation.Get(i, b),
-                                                    relation.Get(j, b));
+              double d = tables[b]->RowDistance(i, j);
               if (!std::isfinite(d)) {
                 st.finite[b] = 0;
               } else {

@@ -28,12 +28,6 @@ struct DdDiscoveryOptions {
   int sample_rows = 0;
   uint64_t seed = 42;
   int max_results = 10000;
-  /// Run on the dictionary-encoded columnar backend (the default): every
-  /// metric distance becomes a lookup in a per-attribute code-pair table
-  /// (CodeDistanceTable), so repeated Levenshtein / numeric evaluations
-  /// collapse to one per distinct value pair. `false` keeps the Value-based
-  /// oracle; the discovered list is bit-identical either way.
-  bool use_encoding = true;
   /// Optional engine hooks: when `pool` is set the distance tables, the
   /// per-attribute threshold scans and the per-LHS-candidate pair scans run
   /// in parallel; the min-support / vacuity / subsumption / max_results
@@ -53,8 +47,8 @@ struct DdDiscoveryOptions {
   /// and folds per-word distance maxima, so each candidate is a fold over
   /// the deduplicated words. Candidate thresholds and the vacuity bounds
   /// come from code-pair distance histograms (multiplicity-weighted, so
-  /// the quantiles are bit-identical to the row-pair scan's). Requires
-  /// use_encoding; falls back when the packed word exceeds 64 bits.
+  /// the quantiles are bit-identical to the row-pair scan's). Falls back
+  /// to the row-pair scan when the packed word exceeds 64 bits.
   bool use_evidence = true;
   /// Optional shared store for the kernel-built evidence multiset.
   EvidenceCache* evidence = nullptr;

@@ -14,20 +14,17 @@
 
 namespace famtree {
 
-/// Resolves the encoded columnar substrate for a miner per the PR-2
-/// fast-path convention shared by every ported algorithm: borrowed from the
-/// attached PliCache when one is present (it encodes once per relation),
-/// built locally when `use_encoding` is set without a cache, and nullptr
-/// for the Value-based oracle walk (`use_encoding == false`). `*local`
-/// keeps a locally built encoding alive for the caller's scope. Errors when
-/// the cache serves a different relation.
+/// Resolves the encoded columnar substrate for a miner, the fast-path
+/// convention shared by every ported algorithm: borrowed from the attached
+/// PliCache when one is present (it encodes once per relation), built
+/// locally otherwise. `*local` keeps a locally built encoding alive for the
+/// caller's scope. Errors when the cache serves a different relation.
 inline Result<const EncodedRelation*> ResolveEncoding(
-    const Relation& relation, bool use_encoding, PliCache* cache,
+    const Relation& relation, PliCache* cache,
     std::unique_ptr<EncodedRelation>* local) {
   if (cache != nullptr && cache->relation_or_null() != &relation) {
     return Status::Invalid("PliCache serves a different relation");
   }
-  if (!use_encoding) return static_cast<const EncodedRelation*>(nullptr);
   if (cache != nullptr) return &cache->encoded();
   *local = std::make_unique<EncodedRelation>(relation);
   return static_cast<const EncodedRelation*>(local->get());
@@ -66,8 +63,8 @@ inline bool DictHasNonFiniteDouble(const EncodedRelation& enc, int attr) {
   return false;
 }
 
-/// Counting sort of the rows by a column's rank — stable, so it matches
-/// the oracle's std::stable_sort by Value.
+/// Counting sort of the rows by a column's rank — stable, so it matches a
+/// std::stable_sort by Value.
 inline std::vector<int> SortedRowOrder(const EncodedRelation& enc, int col,
                                        const std::vector<uint32_t>& rank) {
   const std::vector<uint32_t>& codes = enc.codes(col);

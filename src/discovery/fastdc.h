@@ -28,15 +28,6 @@ struct FastDcOptions {
   /// at most this; beyond it, a random sample of pairs is used.
   int max_rows_exact = 2000;
   uint64_t seed = 42;
-  /// Evaluate tuple-pair predicates on the dictionary-encoded backend:
-  /// same-column =/!= are single code compares, and order predicates read
-  /// per-dictionary numeric cells that replicate Value's comparison
-  /// semantics exactly (null rank, exact int-int, cross-type via the
-  /// double image). String cells under an order predicate and any operand
-  /// shape outside the generated predicate space fall back to the Value
-  /// evaluator, so evidence sets are bit-identical to the `false` (oracle)
-  /// setting.
-  bool use_encoding = true;
   /// When set, the evidence set — FASTDC's quadratic hotspot — is built in
   /// parallel: tuple pairs are split into contiguous chunks, each chunk
   /// accumulates a private evidence multiset, and the chunks are merged by
@@ -57,7 +48,7 @@ struct FastDcOptions {
   /// mirror. Falls back to the per-predicate path (identical output) when
   /// cross-column predicates are requested, the word exceeds 64 bits, or a
   /// numeric dictionary holds NaN (whose Value order ties are not
-  /// representable as a rank trit). Requires use_encoding.
+  /// representable as a rank trit).
   bool use_evidence = true;
   /// Optional shared store for kernel-built evidence multisets, keyed by
   /// relation content + column config; only the exact (all-pairs) build is

@@ -1,7 +1,6 @@
 #include "discovery/fastfd.h"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include "common/run_context.h"
@@ -71,16 +70,12 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsFastFd(
   // minimal ones (a superset of a difference set is redundant for covers).
   // The pair loop is chunked over leading rows; each chunk collects a
   // private mask set and the union of sets is order-independent, so the
-  // chunk count cannot change the result. With the encoded backend the
-  // per-cell comparison is one uint32 compare over flat code arrays; code
-  // equality is exactly Value equality, so both paths produce the same
-  // difference sets.
-  std::unique_ptr<EncodedRelation> encoded;
+  // chunk count cannot change the result. The per-cell comparison is one
+  // uint32 compare over flat code arrays (code equality is exactly Value
+  // equality).
+  EncodedRelation encoded(relation);
   std::vector<const std::vector<uint32_t>*> codes;
-  if (options.use_encoding) {
-    encoded = std::make_unique<EncodedRelation>(relation);
-    for (int a = 0; a < nc; ++a) codes.push_back(&encoded->codes(a));
-  }
+  for (int a = 0; a < nc; ++a) codes.push_back(&encoded.codes(a));
   int num_chunks = options.pool == nullptr
                        ? 1
                        : std::max(1, options.pool->num_threads() * 4);
@@ -96,14 +91,8 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsFastFd(
     for (int i = begin; i < end; ++i) {
       for (int j = i + 1; j < n; ++j) {
         AttrSet d;
-        if (encoded != nullptr) {
-          for (int a = 0; a < nc; ++a) {
-            if ((*codes[a])[i] != (*codes[a])[j]) d.Add(a);
-          }
-        } else {
-          for (int a = 0; a < nc; ++a) {
-            if (!(relation.Get(i, a) == relation.Get(j, a))) d.Add(a);
-          }
+        for (int a = 0; a < nc; ++a) {
+          if ((*codes[a])[i] != (*codes[a])[j]) d.Add(a);
         }
         if (!d.empty()) local.insert(d);
       }

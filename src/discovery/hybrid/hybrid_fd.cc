@@ -74,8 +74,7 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsHybridImpl(
   const EncodedRelation* encoded = nullptr;
   if (relation != nullptr) {
     FAMTREE_ASSIGN_OR_RETURN(
-        encoded, ResolveEncoding(*relation, /*use_encoding=*/true,
-                                 options.cache, &local_encoding));
+        encoded, ResolveEncoding(*relation, options.cache, &local_encoding));
   } else {
     // Out-of-core: the sampler needs flat code arrays, so materialize them
     // from the shards (charged with shard-spill fallback). A budget stop

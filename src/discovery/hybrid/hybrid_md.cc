@@ -26,9 +26,8 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
     return Status::Invalid("MD discovery needs a valid RHS attribute set");
   }
   // The cover tree answers exact validity (confidence == 1); approximate
-  // confidence bounds — and the evidence-free paths — go to the oracle.
-  if (options.min_confidence != 1.0 || !options.use_encoding ||
-      !options.use_evidence) {
+  // confidence bounds — and the evidence-free path — go to the lattice.
+  if (options.min_confidence != 1.0 || !options.use_evidence) {
     return DiscoverMds(relation, rhs, options);
   }
   // Everything below mirrors DiscoverMds' setup move for move (sampling,
@@ -47,8 +46,8 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(sample, options.use_encoding,
-                      sampling ? nullptr : options.cache, &local_encoding));
+      ResolveEncoding(sample, sampling ? nullptr : options.cache,
+                      &local_encoding));
 
   std::vector<SimilarityPredicate> candidates;
   std::vector<MetricPtr> metrics(nc);

@@ -19,7 +19,7 @@ namespace {
 
 /// ComputeStats over code-pair distance tables + dense RHS row keys: the
 /// LHS distances are the exact doubles the metrics return and key equality
-/// is value-tuple equality, so the counts match the Value path exactly.
+/// is value-tuple equality, so the counts match Md::ComputeStats exactly.
 Md::Stats EncodedStats(
     const std::vector<SimilarityPredicate>& lhs, int n,
     const std::vector<std::unique_ptr<CodeDistanceTable>>& tables,
@@ -68,8 +68,8 @@ Result<std::vector<DiscoveredMd>> DiscoverMds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(sample, options.use_encoding,
-                      sampling ? nullptr : options.cache, &local_encoding));
+      ResolveEncoding(sample, sampling ? nullptr : options.cache,
+                      &local_encoding));
 
   // Candidate predicates per non-RHS attribute.
   std::vector<SimilarityPredicate> candidates;
@@ -98,16 +98,14 @@ Result<std::vector<DiscoveredMd>> DiscoverMds(
   };
   std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
   std::vector<uint32_t> rhs_keys;
-  if (encoded != nullptr) {
-    for (int a = 0; a < nc; ++a) {
-      if (rhs.Contains(a)) continue;
-      Status st = RunContext::Poll(ctx);
-      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-      tables[a] =
-          std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
-    }
-    encoded->RowKeys(rhs, &rhs_keys);
+  for (int a = 0; a < nc; ++a) {
+    if (rhs.Contains(a)) continue;
+    Status st = RunContext::Poll(ctx);
+    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+    tables[a] =
+        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
   }
+  encoded->RowKeys(rhs, &rhs_keys);
 
   // LHS candidate sets: one or two predicates on distinct attributes.
   std::vector<std::vector<SimilarityPredicate>> lhs_sets;
@@ -134,7 +132,7 @@ Result<std::vector<DiscoveredMd>> DiscoverMds(
   // threshold's index, and the RHS row keys agree exactly when every RHS
   // attribute's codes do, so the stats match the pair scans bit for bit.
   bool used_evidence = false;
-  if (encoded != nullptr && options.use_evidence) {
+  if (options.use_evidence) {
     std::vector<EvidenceColumn> config;
     std::vector<int> cfg_of(nc, -1);
     std::vector<std::vector<double>> attr_th(nc);
@@ -235,11 +233,7 @@ Result<std::vector<DiscoveredMd>> DiscoverMds(
         candidates_done,
         AnytimeParallelFor(
             ctx, pool, static_cast<int64_t>(lhs_sets.size()), [&](int64_t c) {
-              if (encoded != nullptr) {
-                stats[c] = EncodedStats(lhs_sets[c], n, tables, rhs_keys);
-              } else {
-                stats[c] = Md(lhs_sets[c], rhs).ComputeStats(sample);
-              }
+              stats[c] = EncodedStats(lhs_sets[c], n, tables, rhs_keys);
               return Status::OK();
             }));
   }

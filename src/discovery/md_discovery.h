@@ -29,12 +29,6 @@ struct MdDiscoveryOptions {
   /// order — the approximation algorithm of [85], [87].
   int sample_rows = 0;  // 0 = all rows
   int max_results = 10000;
-  /// Run on the dictionary-encoded columnar backend (the default): LHS
-  /// similarity distances become lookups in per-attribute code-pair tables
-  /// and the RHS identification check compares dense row keys instead of
-  /// Value tuples. `false` keeps the Value-based oracle; the discovered
-  /// list is bit-identical either way.
-  bool use_encoding = true;
   /// Optional engine hooks: when `pool` is set the per-candidate pair
   /// scans run in parallel and the support / confidence / RCK-minimality
   /// filters replay the serial candidate order (bit-identical at any
@@ -52,7 +46,7 @@ struct MdDiscoveryOptions {
   /// attribute's threshold-bucket index and each RHS attribute's equality
   /// bit into a word per pair, and each candidate's support / confidence
   /// counts become folds over the deduplicated words instead of O(n^2)
-  /// row-pair scans. Requires use_encoding; falls back (identical output)
+  /// row-pair scans. Falls back (identical output)
   /// when the word exceeds 64 bits or a dictionary holds a non-finite
   /// double (whose NaN distances the bucket index cannot mirror).
   bool use_evidence = true;

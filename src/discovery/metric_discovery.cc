@@ -16,26 +16,11 @@ namespace famtree {
 
 namespace {
 
-double GlobalDiameter(const Relation& relation, int attr,
-                      const Metric& metric, const CodeDistanceTable* table) {
-  double diameter = 0.0;
-  int n = relation.num_rows();
-  for (int i = 0; i + 1 < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      double d = table != nullptr
-                     ? table->RowDistance(i, j)
-                     : metric.Distance(relation.Get(i, attr),
-                                       relation.Get(j, attr));
-      if (std::isfinite(d)) diameter = std::max(diameter, d);
-    }
-  }
-  return diameter;
-}
-
-/// The max finite pairwise distance from the code-count histogram: every
-/// cross-code pair with both codes present occurs among the row pairs, and
-/// a diagonal pair needs its code on at least two rows — so the fold over
-/// occurring code pairs equals the O(n^2) row-pair fold.
+/// The max finite pairwise distance (the attribute's global diameter) from
+/// the code-count histogram: every cross-code pair with both codes present
+/// occurs among the row pairs, and a diagonal pair needs its code on at
+/// least two rows — so the fold over occurring code pairs equals the
+/// O(n^2) row-pair fold.
 double GlobalDiameterFromCodes(const EncodedRelation& encoded, int attr,
                                const CodeDistanceTable& table) {
   const std::vector<uint32_t>& codes = encoded.codes(attr);
@@ -71,8 +56,7 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<MetricPtr> metrics(nc);
   for (int a = 0; a < nc; ++a) {
     metrics[a] = DefaultMetricFor(relation.schema().column(a).type);
@@ -88,22 +72,17 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
     return std::vector<DiscoveredMfd>{};
   };
   std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-  if (encoded != nullptr) {
-    for (int a = 0; a < nc; ++a) {
-      Status st = RunContext::Poll(ctx);
-      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-      tables[a] =
-          std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
-    }
+  for (int a = 0; a < nc; ++a) {
+    Status st = RunContext::Poll(ctx);
+    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+    tables[a] =
+        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
   }
   std::vector<double> global(nc);
   Status global_status = ParallelFor(pool, nc, [&](int64_t a) {
     FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-    global[a] = encoded != nullptr
-                    ? GlobalDiameterFromCodes(*encoded, static_cast<int>(a),
-                                              *tables[a])
-                    : GlobalDiameter(relation, static_cast<int>(a),
-                                     *metrics[a], tables[a].get());
+    global[a] =
+        GlobalDiameterFromCodes(*encoded, static_cast<int>(a), *tables[a]);
     return Status::OK();
   });
   if (RunContext::IsStop(global_status)) {
@@ -137,7 +116,7 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
   // never read.
   bool used_evidence = false;
   int64_t candidates_done = 0;
-  if (encoded != nullptr && options.use_evidence) {
+  if (options.use_evidence) {
     std::vector<EvidenceColumn> config(nc);
     for (int a = 0; a < nc; ++a) {
       config[a].attr = a;
@@ -195,10 +174,7 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
             [&](int64_t i) {
               Candidate& c = candidates[i];
               c.diameter =
-                  encoded != nullptr
-                      ? Mfd::MaxGroupDiameter(*encoded, c.lhs, *tables[c.attr])
-                      : Mfd::MaxGroupDiameter(relation, c.lhs, c.attr,
-                                              *metrics[c.attr]);
+                  Mfd::MaxGroupDiameter(*encoded, c.lhs, *tables[c.attr]);
               return Status::OK();
             }));
   }

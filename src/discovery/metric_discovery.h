@@ -26,11 +26,6 @@ struct MfdDiscoveryOptions {
   /// LHS size cap.
   int max_lhs_size = 1;
   int max_results = 10000;
-  /// Run on the dictionary-encoded columnar backend (the default): groups
-  /// come from integer GroupBy and every metric distance is memoized per
-  /// code pair. `false` keeps the Value-based oracle; the discovered list
-  /// is bit-identical either way.
-  bool use_encoding = true;
   /// Optional engine hooks: when `pool` is set the global diameters and the
   /// per-(LHS, attr) group diameters are measured in parallel and merged in
   /// the serial walk's candidate order (bit-identical at any thread count);
@@ -47,8 +42,8 @@ struct MfdDiscoveryOptions {
   /// bit per attribute and folds each attribute's per-word distance
   /// maxima, so a candidate's group diameter is a max over the words whose
   /// LHS bits agree — no per-candidate GroupBy or pair scan. Global
-  /// diameters come from code-pair histograms. Requires use_encoding;
-  /// falls back (identical output) when the word exceeds 64 bits.
+  /// diameters come from code-pair histograms. Falls back (identical
+  /// output) when the word exceeds 64 bits.
   bool use_evidence = true;
   /// Optional shared store for the kernel-built evidence multiset.
   EvidenceCache* evidence = nullptr;

@@ -20,8 +20,9 @@ namespace famtree {
 namespace {
 
 /// ComputePairStats over code-pair distance tables: the distances are the
-/// exact doubles the metrics return, so the counts match the Value path
-/// bit for bit (and integer counts are order-insensitive anyway).
+/// exact doubles the metrics return, so the counts match
+/// Ned::ComputePairStats bit for bit (and integer counts are
+/// order-insensitive anyway).
 Ned::PairStats EncodedPairStats(
     const std::vector<Ned::Predicate>& lhs,
     const std::vector<Ned::Predicate>& rhs, int n,
@@ -57,8 +58,7 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<Ned::Predicate> candidates;
   std::vector<MetricPtr> metrics(nc);
   for (int a = 0; a < nc; ++a) {
@@ -81,13 +81,11 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
     return std::vector<DiscoveredNed>{};
   };
   std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-  if (encoded != nullptr) {
-    for (int a = 0; a < nc; ++a) {
-      Status st = RunContext::Poll(ctx);
-      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-      tables[a] =
-          std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
-    }
+  for (int a = 0; a < nc; ++a) {
+    Status st = RunContext::Poll(ctx);
+    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+    tables[a] =
+        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
   }
   std::vector<std::vector<Ned::Predicate>> lhs_sets;
   for (const auto& p : candidates) lhs_sets.push_back({p});
@@ -114,7 +112,7 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
   // the built-in metrics whose NaN behavior the non-finite-dictionary
   // guard covers.
   bool used_evidence = false;
-  if (encoded != nullptr && options.use_evidence) {
+  if (options.use_evidence) {
     const std::string& tname = target.metric->name();
     bool supported =
         tname == "edit" || tname == "absdiff" || tname == "discrete";
@@ -201,12 +199,7 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
         candidates_done,
         AnytimeParallelFor(
             ctx, pool, static_cast<int64_t>(lhs_sets.size()), [&](int64_t c) {
-              if (encoded != nullptr) {
-                stats[c] = EncodedPairStats(lhs_sets[c], {target}, n, tables);
-              } else {
-                stats[c] =
-                    Ned(lhs_sets[c], {target}).ComputePairStats(relation);
-              }
+              stats[c] = EncodedPairStats(lhs_sets[c], {target}, n, tables);
               return Status::OK();
             }));
   }

@@ -23,12 +23,6 @@ struct NedDiscoveryOptions {
   double min_confidence = 0.95;
   /// LHS predicate count cap.
   int max_lhs_attrs = 2;
-  /// Run on the dictionary-encoded columnar backend (the default): metric
-  /// distances become lookups in per-attribute code-pair tables, evaluated
-  /// once per distinct value pair instead of once per row pair per
-  /// candidate. `false` keeps the Value-based oracle; the discovered list
-  /// is bit-identical either way.
-  bool use_encoding = true;
   /// Optional engine hooks: when `pool` is set the per-candidate pair
   /// scans run in parallel and the support / confidence filters replay the
   /// serial candidate order (bit-identical at any thread count); `cache`
@@ -45,7 +39,7 @@ struct NedDiscoveryOptions {
   /// threshold-bucket index (the target's single threshold included) into
   /// a word per pair, and each candidate's support / confidence counts
   /// become folds over the deduplicated words instead of O(n^2) row-pair
-  /// scans. Requires use_encoding; falls back (identical output) when the
+  /// scans. Falls back (identical output) when the
   /// word exceeds 64 bits, a dictionary holds a non-finite double, or the
   /// target metric is not one of the built-ins (whose NaN behavior the
   /// bucket index mirrors under that guard).

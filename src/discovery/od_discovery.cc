@@ -11,61 +11,17 @@ namespace famtree {
 
 namespace {
 
-/// Checks A^<= -> B^mark over all ordered pairs in O(n log n) by sorting:
-/// after sorting by (A, B-adjusted), the OD holds iff B is monotone in the
-/// required direction across *every* pair with a_i <= a_j — equivalently,
-/// max-so-far (or min-so-far) of B never conflicts, with ties on A
-/// requiring equal... see Od::Validate for the exact pairwise semantics;
-/// here we exploit that the unary check reduces to a scan.
-bool UnaryOdHolds(const Relation& relation, int a, int b, bool increasing) {
-  int n = relation.num_rows();
-  std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
-    return relation.Get(x, a) < relation.Get(y, a);
-  });
-  // For pairs with equal A values, A^<= holds in both directions, so B
-  // must be equal within an A-tie under either mark direction? No: for a
-  // tie (a_i == a_j) both (i,j) and (j,i) satisfy the LHS, forcing
-  // b_i <= b_j and b_j <= b_i (increasing), i.e. equality. The scan below
-  // tracks (1) the running extreme over *strictly smaller* A values and
-  // (2) uniformity of B within each A-tie group.
-  size_t i = 0;
-  bool has_prev = false;
-  Value extreme;  // B value of the previous A-tie group
-  while (i < order.size()) {
-    size_t j = i;
-    while (j < order.size() &&
-           relation.Get(order[j], a) == relation.Get(order[i], a)) {
-      ++j;
-    }
-    // Tie group [i, j): B must be uniform.
-    for (size_t k = i + 1; k < j; ++k) {
-      if (!(relation.Get(order[k], b) == relation.Get(order[i], b))) {
-        return false;
-      }
-    }
-    const Value& bv = relation.Get(order[i], b);
-    if (has_prev) {
-      if (increasing && bv < extreme) return false;
-      if (!increasing && extreme < bv) return false;
-    }
-    extreme = bv;
-    has_prev = true;
-    i = j;
-  }
-  return true;
-}
-
 struct PairScan {
   bool leq = true;
   bool geq = true;
 };
 
 /// Checks A^<= -> B^<= and A^<= -> B^>= in one scan over the rows sorted
-/// by A: equal Values share one code, so tie-group uniformity is a code
-/// comparison and cross-group monotonicity is a rank comparison. Matches
-/// UnaryOdHolds(increasing) / UnaryOdHolds(decreasing) exactly.
+/// by A. For a tie on A both orientations satisfy the LHS, forcing B
+/// equality within each A-tie group; across groups B must be monotone in
+/// the marked direction (see Od::Validate for the pairwise semantics).
+/// Equal Values share one code, so tie-group uniformity is a code
+/// comparison and cross-group monotonicity is a rank comparison.
 PairScan CheckPairEncoded(const EncodedRelation& enc,
                           const std::vector<int>& order, int a, int b,
                           const std::vector<uint32_t>& rank_b) {
@@ -119,45 +75,40 @@ Result<std::vector<DiscoveredOd>> DiscoverUnaryOds(
     }
   }
   // Like ResolveEncoding, but a locally built encoding covers only the
-  // eligible columns — the miner never reads the others, and skipping
-  // their dictionary builds is what keeps the encoded serial path ahead of
-  // the oracle on wide mixed-type relations.
+  // eligible columns — the miner never reads the others, so skipping their
+  // dictionary builds keeps wide mixed-type relations cheap.
   if (options.cache != nullptr && options.cache->relation_or_null() != &relation) {
     return Status::Invalid("PliCache serves a different relation");
   }
   std::unique_ptr<EncodedRelation> local_encoding;
   const EncodedRelation* encoded = nullptr;
-  if (options.use_encoding) {
-    if (options.cache != nullptr) {
-      encoded = &options.cache->encoded();
-    } else {
-      local_encoding = std::make_unique<EncodedRelation>(relation, col_set);
-      encoded = local_encoding.get();
-    }
+  if (options.cache != nullptr) {
+    encoded = &options.cache->encoded();
+  } else {
+    local_encoding = std::make_unique<EncodedRelation>(relation, col_set);
+    encoded = local_encoding.get();
   }
-  // Encoded precomputation, once per column instead of one sort per
-  // ordered pair and direction: the rank table and the sorted row order.
+  // Precomputation, once per column instead of one sort per ordered pair
+  // and direction: the rank table and the sorted row order.
   std::vector<std::vector<uint32_t>> ranks(nc);
   std::vector<std::vector<int>> orders(nc);
-  if (encoded != nullptr) {
-    Status precompute = ParallelFor(
-        pool, static_cast<int64_t>(cols.size()), [&](int64_t i) {
-          FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-          int c = cols[i];
-          ranks[c] = CodeRanks(*encoded, c);
-          orders[c] = SortedRowOrder(*encoded, c, ranks[c]);
-          return Status::OK();
-        });
-    if (RunContext::IsStop(precompute)) {
-      // Cut before any candidate was evaluated: the partial result is the
-      // empty prefix.
-      int64_t total = static_cast<int64_t>(cols.size()) *
-                      (static_cast<int64_t>(cols.size()) - 1);
-      RunContext::MarkExhausted(ctx, precompute, 0, total);
-      return out;
-    }
-    FAMTREE_RETURN_NOT_OK(precompute);
+  Status precompute = ParallelFor(
+      pool, static_cast<int64_t>(cols.size()), [&](int64_t i) {
+        FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
+        int c = cols[i];
+        ranks[c] = CodeRanks(*encoded, c);
+        orders[c] = SortedRowOrder(*encoded, c, ranks[c]);
+        return Status::OK();
+      });
+  if (RunContext::IsStop(precompute)) {
+    // Cut before any candidate was evaluated: the partial result is the
+    // empty prefix.
+    int64_t total = static_cast<int64_t>(cols.size()) *
+                    (static_cast<int64_t>(cols.size()) - 1);
+    RunContext::MarkExhausted(ctx, precompute, 0, total);
+    return out;
   }
+  FAMTREE_RETURN_NOT_OK(precompute);
   // Candidate pairs in the serial walk's order; each slot is written by
   // exactly one ParallelFor iteration and the merge replays pair order, so
   // the output is bit-identical at any thread count.
@@ -177,20 +128,9 @@ Result<std::vector<DiscoveredOd>> DiscoverUnaryOds(
       AnytimeParallelFor(
           ctx, pool, static_cast<int64_t>(candidates.size()), [&](int64_t t) {
         Candidate& cd = candidates[t];
-        if (encoded != nullptr) {
-          PairScan r =
-              CheckPairEncoded(*encoded, orders[cd.a], cd.a, cd.b,
-                               ranks[cd.b]);
-          cd.result = r.leq ? 1 : (r.geq ? 2 : 0);
-        } else {
-          cd.result =
-              UnaryOdHolds(relation, cd.a, cd.b, /*increasing=*/true)
-                  ? 1
-                  : (UnaryOdHolds(relation, cd.a, cd.b,
-                                  /*increasing=*/false)
-                         ? 2
-                         : 0);
-        }
+        PairScan r =
+            CheckPairEncoded(*encoded, orders[cd.a], cd.a, cd.b, ranks[cd.b]);
+        cd.result = r.leq ? 1 : (r.geq ? 2 : 0);
         return Status::OK();
           }));
   // The serial merge replays the completed candidate prefix only, so a cut

@@ -19,12 +19,6 @@ struct PfdDiscoveryOptions {
   /// LHS size cap for the lattice walk.
   int max_lhs_size = 3;
   int max_results = 100000;
-  /// Run on the dictionary-encoded columnar backend (the default): the
-  /// per-value plurality fractions are counted over dense row keys instead
-  /// of pairwise AgreeOn scans, in the same group order, so probabilities —
-  /// and the discovered list — are bit-identical to the Value oracle
-  /// (`false`).
-  bool use_encoding = true;
   /// Optional engine hooks: when `pool` is set, each lattice level's
   /// candidate probabilities are computed in parallel and the minimality /
   /// threshold filters replayed serially in candidate order (bit-identical

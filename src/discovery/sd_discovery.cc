@@ -68,8 +68,7 @@ Result<DiscoveredSd> DiscoverSd(const Relation& relation, int order_attr,
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   // A single-result driver has no partial prefix to return: a fired limit
   // surfaces as the stop status itself, with the report marked exhausted.
   RunContext* ctx = options.context;
@@ -79,20 +78,10 @@ Result<DiscoveredSd> DiscoverSd(const Relation& relation, int order_attr,
     RunContext::MarkExhausted(ctx, gate, 0, 2);
     return gate;
   }
-  int n = relation.num_rows();
-  std::vector<int> order;
-  std::vector<double> target_num(n);
-  if (encoded != nullptr) {
-    order = SortedRowOrder(*encoded, order_attr,
-                           CodeRanks(*encoded, order_attr));
-    FAMTREE_ASSIGN_OR_RETURN(
-        target_num, RowNumerics(*encoded, target_attr, options.pool));
-  } else {
-    order = Sd::SortedOrder(relation, order_attr);
-    for (int i = 0; i < n; ++i) {
-      target_num[i] = relation.Get(i, target_attr).AsNumeric();
-    }
-  }
+  std::vector<int> order =
+      SortedRowOrder(*encoded, order_attr, CodeRanks(*encoded, order_attr));
+  FAMTREE_ASSIGN_OR_RETURN(std::vector<double> target_num,
+                           RowNumerics(*encoded, target_attr, options.pool));
   std::vector<double> gaps;
   for (size_t i = 0; i + 1 < order.size(); ++i) {
     double d = target_num[order[i + 1]] - target_num[order[i]];
@@ -136,8 +125,7 @@ Result<DiscoveredCsd> DiscoverCsdTableau(const Relation& relation,
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   // Single tableau result; limits stop the run, they cannot shrink it.
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "csd_tableau");
@@ -146,22 +134,12 @@ Result<DiscoveredCsd> DiscoverCsdTableau(const Relation& relation,
     RunContext::MarkExhausted(ctx, gate, 0, 0);
     return gate;
   }
-  std::vector<int> order;
-  std::vector<double> order_num(n), target_num(n);
-  if (encoded != nullptr) {
-    order = SortedRowOrder(*encoded, order_attr,
-                           CodeRanks(*encoded, order_attr));
-    FAMTREE_ASSIGN_OR_RETURN(
-        order_num, RowNumerics(*encoded, order_attr, options.pool));
-    FAMTREE_ASSIGN_OR_RETURN(
-        target_num, RowNumerics(*encoded, target_attr, options.pool));
-  } else {
-    order = Sd::SortedOrder(relation, order_attr);
-    for (int i = 0; i < n; ++i) {
-      order_num[i] = relation.Get(i, order_attr).AsNumeric();
-      target_num[i] = relation.Get(i, target_attr).AsNumeric();
-    }
-  }
+  std::vector<int> order =
+      SortedRowOrder(*encoded, order_attr, CodeRanks(*encoded, order_attr));
+  FAMTREE_ASSIGN_OR_RETURN(std::vector<double> order_num,
+                           RowNumerics(*encoded, order_attr, options.pool));
+  FAMTREE_ASSIGN_OR_RETURN(std::vector<double> target_num,
+                           RowNumerics(*encoded, target_attr, options.pool));
   // Distinct order-attribute groups along the sorted sequence.
   std::vector<int> group_start;  // position of each group's first row
   std::vector<double> group_value;

@@ -20,12 +20,6 @@ struct SdDiscoveryOptions {
   double hi_quantile = 0.95;
   /// Minimum confidence for the SD to be reported.
   double min_confidence = 0.9;
-  /// Run on the dictionary-encoded columnar backend (the default): the
-  /// order-attribute sort becomes a stable counting sort over code ranks
-  /// and the target numerics are decoded once per dictionary code.
-  /// `false` keeps the Value-based oracle; the result is bit-identical
-  /// either way.
-  bool use_encoding = true;
   /// Optional engine hooks: `pool` parallelizes the per-code numeric
   /// decode; the confidence DP itself is loop-carried and stays serial.
   /// `cache` lends its encoding.
@@ -61,7 +55,6 @@ struct CsdDiscoveryOptions {
   /// Fast-path knobs, same convention as SdDiscoveryOptions: the sort and
   /// the numeric decode run encoded; the tableau DP (quadratic, exact)
   /// stays serial.
-  bool use_encoding = true;
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
   /// Optional run limits (common/run_context.h): the driver check-points

@@ -264,7 +264,6 @@ Result<std::vector<DiscoveredSfd>> DiscoveryEngine::Cords(
 Result<std::vector<DiscoveredCfd>> DiscoveryEngine::ConstantCfds(
     const Relation& relation, CfdDiscoveryOptions options) {
   options.pool = &pool_;
-  options.evidence = &evidence_;
   if (options.context == nullptr) options.context = default_context();
   FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
   return DiscoverConstantCfds(relation, options);

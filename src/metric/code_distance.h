@@ -21,7 +21,7 @@ namespace famtree {
 /// a k×k table (k = dictionary size) computed once replaces millions of
 /// Levenshtein calls with array lookups. Distances are stored as the exact
 /// doubles the metric returned, so encoded results stay bit-identical to
-/// the Value-path oracle.
+/// evaluating the metric on the Values.
 ///
 /// The table is eagerly filled (optionally in parallel — entries are pure,
 /// so the fill order cannot affect the result). When the triangular size
@@ -84,8 +84,8 @@ class CodeDistanceTable {
 /// Bucket(a, b) returns the smallest index j with distance <= thresholds[j],
 /// or thresholds.size() when the distance (finite or not) exceeds every
 /// threshold. The comparisons use the exact doubles the metric would
-/// return, so buckets are bit-identical to the Value-path oracle's
-/// threshold tests.
+/// return, so buckets are bit-identical to `distance <= threshold` tests
+/// on the Values.
 class CodeBucketTable {
  public:
   /// `thresholds` must be sorted ascending; at most 254 thresholds.

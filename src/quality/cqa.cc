@@ -32,25 +32,6 @@ bool Selected(const Relation& relation, int row,
   return EvalCmp(relation.Get(row, query.attr), query.op, query.constant);
 }
 
-/// Splits an LHS group into RHS subgroups (each a candidate repair keep).
-std::vector<std::vector<int>> Subgroups(const Relation& relation,
-                                        const std::vector<int>& group,
-                                        AttrSet rhs) {
-  std::vector<std::vector<int>> sub;
-  for (int row : group) {
-    bool placed = false;
-    for (auto& s : sub) {
-      if (relation.AgreeOn(s[0], row, rhs)) {
-        s.push_back(row);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) sub.push_back({row});
-  }
-  return sub;
-}
-
 /// Deduplicated projection append.
 void AppendProjection(const Relation& relation, int row, AttrSet projection,
                       std::set<std::vector<std::string>>* seen,
@@ -69,74 +50,25 @@ void AppendProjection(const Relation& relation, int row, AttrSet projection,
 
 Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
                                 const SelectionQuery& query) {
-  FAMTREE_RETURN_NOT_OK(CheckQuery(relation, query));
-  Relation out{Schema(relation.ProjectColumns(query.projection).schema())};
-  std::set<std::vector<std::string>> seen;
-  for (const auto& group : relation.GroupBy(fd.lhs())) {
-    auto sub = Subgroups(relation, group, fd.rhs());
-    if (sub.size() == 1) {
-      // Consistent group: every selected tuple's projection is certain.
-      for (int row : group) {
-        if (Selected(relation, row, query)) {
-          AppendProjection(relation, row, query.projection, &seen, &out);
-        }
-      }
-      continue;
-    }
-    // Conflicting group: a projection from this group is certain iff
-    // every subgroup (i.e., every repair choice) contributes a selected
-    // row with that projection.
-    for (int row : group) {
-      if (!Selected(relation, row, query)) continue;
-      std::vector<Value> proj = relation.Project(row, query.projection);
-      bool in_all = true;
-      for (const auto& s : sub) {
-        bool found = false;
-        for (int other : s) {
-          if (Selected(relation, other, query) &&
-              relation.Project(other, query.projection) == proj) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          in_all = false;
-          break;
-        }
-      }
-      if (in_all) {
-        AppendProjection(relation, row, query.projection, &seen, &out);
-      }
-    }
-  }
-  return out;
+  return CertainAnswers(relation, fd, query, QualityOptions{});
 }
 
 Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
                                 const SelectionQuery& query,
                                 const QualityOptions& options) {
-  if (!options.use_encoding && options.pool == nullptr &&
-      options.context == nullptr) {
-    return CertainAnswers(relation, fd, query);
-  }
   FAMTREE_RETURN_NOT_OK(CheckQuery(relation, query));
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "certain_answers");
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
-  std::vector<std::vector<int>> groups =
-      encoded != nullptr ? encoded->GroupBy(fd.lhs())
-                         : relation.GroupBy(fd.lhs());
+      ResolveEncoding(relation, options.cache, &local_encoding));
+  std::vector<std::vector<int>> groups = encoded->GroupBy(fd.lhs());
   // Dense keys: projection equality and RHS agreement become integer
   // compares (key equality <=> value-tuple equality).
   std::vector<uint32_t> rhs_keys, proj_keys;
-  if (encoded != nullptr) {
-    encoded->RowKeys(fd.rhs(), &rhs_keys);
-    encoded->RowKeys(query.projection, &proj_keys);
-  }
+  encoded->RowKeys(fd.rhs(), &rhs_keys);
+  encoded->RowKeys(query.projection, &proj_keys);
   // Per-group certain rows (in group-row order) are independent; the
   // dedup + append below replays group order serially.
   std::vector<std::vector<int>> certain(groups.size());
@@ -146,44 +78,37 @@ Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
           ctx, options.pool, static_cast<int64_t>(groups.size()),
           [&](int64_t g) {
         const std::vector<int>& group = groups[g];
+        // RHS subgroups: each is a candidate repair keep.
         std::vector<std::vector<int>> sub;
-        if (encoded != nullptr) {
-          for (int row : group) {
-            bool placed = false;
-            for (auto& s : sub) {
-              if (rhs_keys[s[0]] == rhs_keys[row]) {
-                s.push_back(row);
-                placed = true;
-                break;
-              }
+        for (int row : group) {
+          bool placed = false;
+          for (auto& s : sub) {
+            if (rhs_keys[s[0]] == rhs_keys[row]) {
+              s.push_back(row);
+              placed = true;
+              break;
             }
-            if (!placed) sub.push_back({row});
           }
-        } else {
-          sub = Subgroups(relation, group, fd.rhs());
+          if (!placed) sub.push_back({row});
         }
         if (sub.size() == 1) {
+          // Consistent group: every selected tuple's projection is certain.
           for (int row : group) {
             if (Selected(relation, row, query)) certain[g].push_back(row);
           }
           return Status::OK();
         }
+        // Conflicting group: a projection from this group is certain iff
+        // every subgroup (i.e., every repair choice) contributes a selected
+        // row with that projection.
         for (int row : group) {
           if (!Selected(relation, row, query)) continue;
-          std::vector<Value> proj;
-          if (encoded == nullptr) {
-            proj = relation.Project(row, query.projection);
-          }
           bool in_all = true;
           for (const auto& s : sub) {
             bool found = false;
             for (int other : s) {
               if (!Selected(relation, other, query)) continue;
-              bool same_proj =
-                  encoded != nullptr
-                      ? proj_keys[other] == proj_keys[row]
-                      : relation.Project(other, query.projection) == proj;
-              if (same_proj) {
+              if (proj_keys[other] == proj_keys[row]) {
                 found = true;
                 break;
               }
@@ -218,12 +143,10 @@ Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
 Result<Relation> PossibleAnswers(const Relation& relation, const Fd& fd,
                                  const SelectionQuery& query,
                                  const QualityOptions& options) {
-  if (options.pool == nullptr && options.context == nullptr) {
-    return PossibleAnswers(relation, fd, query);
-  }
   FAMTREE_RETURN_NOT_OK(CheckQuery(relation, query));
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "possible_answers");
+  // Every selected tuple appears in the repair keeping its own subgroup.
   int n = relation.num_rows();
   std::vector<char> selected(n, 0);
   FAMTREE_ASSIGN_OR_RETURN(
@@ -251,17 +174,7 @@ Result<Relation> PossibleAnswers(const Relation& relation, const Fd& fd,
 
 Result<Relation> PossibleAnswers(const Relation& relation, const Fd& fd,
                                  const SelectionQuery& query) {
-  FAMTREE_RETURN_NOT_OK(CheckQuery(relation, query));
-  // Every selected tuple appears in the repair keeping its own subgroup.
-  Relation out{Schema(relation.ProjectColumns(query.projection).schema())};
-  std::set<std::vector<std::string>> seen;
-  for (int row = 0; row < relation.num_rows(); ++row) {
-    if (Selected(relation, row, query)) {
-      AppendProjection(relation, row, query.projection, &seen, &out);
-    }
-  }
-  (void)fd;  // every tuple survives in some subset repair
-  return out;
+  return PossibleAnswers(relation, fd, query, QualityOptions{});
 }
 
 }  // namespace famtree

@@ -33,8 +33,9 @@ Result<Relation> PossibleAnswers(const Relation& relation, const Fd& fd,
 /// Fast-path overloads: LHS groups, RHS subgroup splits and projection
 /// comparisons run over dense row keys from the encoded backend, and the
 /// per-group certain-answer checks fan out on the pool; the answers append
-/// serially in group/row order, so the answer relation is identical to the
-/// oracle at any thread count. `cache` lends its encoding.
+/// serially in group/row order, so the answer relation is identical at any
+/// thread count. `cache` lends its encoding. The overloads above run these
+/// with default options.
 Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
                                 const SelectionQuery& query,
                                 const QualityOptions& options);

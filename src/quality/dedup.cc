@@ -40,46 +40,18 @@ struct UnionFind {
 }  // namespace
 
 Result<MatchResult> MdMatcher::Match(const Relation& relation) const {
-  int n = relation.num_rows();
-  UnionFind uf(n);
-  MatchResult result;
-  for (const Md& md : rules_) {
-    for (int i = 0; i + 1 < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (md.LhsSimilar(relation, i, j)) {
-          uf.Union(i, j);
-          ++result.matched_pairs;
-        }
-      }
-    }
-  }
-  // Dense cluster ids.
-  std::map<int, int> root_to_id;
-  result.cluster_ids.resize(n);
-  for (int i = 0; i < n; ++i) {
-    int root = uf.Find(i);
-    auto [it, inserted] =
-        root_to_id.emplace(root, static_cast<int>(root_to_id.size()));
-    result.cluster_ids[i] = it->second;
-  }
-  result.num_clusters = static_cast<int>(root_to_id.size());
-  return result;
+  return Match(relation, QualityOptions{});
 }
 
 Result<MatchResult> MdMatcher::Match(const Relation& relation,
                                      const QualityOptions& options) const {
-  if (!options.use_encoding && options.pool == nullptr &&
-      options.context == nullptr) {
-    return Match(relation);
-  }
   int n = relation.num_rows();
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "md_match");
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   // Kernel path: every (rule, predicate) compiles to one single-threshold
   // bucket facet of a PairComparator word — for edit distance that is a
   // byte-wide banded-Levenshtein bucket table instead of a full distance
@@ -90,7 +62,7 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   // (`d > threshold` keeps a NaN-distance pair; a bucket index drops it).
   std::unique_ptr<PairComparator> comparator;
   std::vector<uint64_t> rule_masks(rules_.size(), 0);
-  if (encoded != nullptr && options.use_evidence) {
+  if (options.use_evidence) {
     std::vector<EvidenceColumn> config;
     bool supported = true;
     for (size_t r = 0; r < rules_.size() && supported; ++r) {
@@ -126,7 +98,7 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   // metrics, so tables cannot be shared across rules by attribute alone.
   std::vector<std::vector<std::unique_ptr<CodeDistanceTable>>> tables(
       rules_.size());
-  if (encoded != nullptr && comparator == nullptr) {
+  if (comparator == nullptr) {
     for (size_t r = 0; r < rules_.size(); ++r) {
       for (const auto& p : rules_[r].lhs()) {
         tables[r].push_back(std::make_unique<CodeDistanceTable>(
@@ -137,7 +109,8 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   // Per-anchor-row scans are independent: row i collects its per-rule
   // match count and the partners to union. The union-find merges replay
   // serially below; the cluster partition is the same for any merge order
-  // and ids densify in row order, so the result matches the oracle.
+  // and ids densify in row order, so the result is identical at any thread
+  // count.
   std::vector<int64_t> counts(n, 0);
   std::vector<std::vector<int>> partners(n);
   FAMTREE_ASSIGN_OR_RETURN(
@@ -156,17 +129,13 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
       } else {
         for (size_t r = 0; r < rules_.size(); ++r) {
           bool similar = true;
-          if (encoded != nullptr) {
-            const auto& lhs = rules_[r].lhs();
-            for (size_t k = 0; k < lhs.size(); ++k) {
-              if (tables[r][k]->RowDistance(static_cast<int>(i), j) >
-                  lhs[k].threshold) {
-                similar = false;
-                break;
-              }
+          const auto& lhs = rules_[r].lhs();
+          for (size_t k = 0; k < lhs.size(); ++k) {
+            if (tables[r][k]->RowDistance(static_cast<int>(i), j) >
+                lhs[k].threshold) {
+              similar = false;
+              break;
             }
-          } else {
-            similar = rules_[r].LhsSimilar(relation, static_cast<int>(i), j);
           }
           if (similar) {
             ++counts[i];

@@ -36,8 +36,8 @@ std::vector<std::pair<int, int>> CellsOf(const Dc& dc,
   return cells;
 }
 
-/// Shared body: `pool == nullptr` is the serial oracle; with a pool the
-/// per-DC violation collection fans out and is merged in DC order.
+/// Shared body: serial when `pool == nullptr`; with a pool the per-DC
+/// violation collection fans out and is merged in DC order.
 Result<RepairResult> RepairHolisticImpl(const Relation& relation,
                                         const std::vector<Dc>& dcs,
                                         int max_changes, ThreadPool* pool,

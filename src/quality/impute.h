@@ -30,7 +30,8 @@ Result<ImputeResult> ImputeWithNed(const Relation& relation, const Ned& rule);
 /// Fast-path overload: each null cell's neighbor scan reads only the
 /// original relation, so the per-cell predictions fan out on the pool with
 /// distances looked up in per-predicate code tables; the fills apply
-/// serially in row order. Identical to the oracle at any thread count.
+/// serially in row order, so the result is identical at any thread count.
+/// The overload above runs it with default options.
 Result<ImputeResult> ImputeWithNed(const Relation& relation, const Ned& rule,
                                    const QualityOptions& options);
 

@@ -9,15 +9,13 @@ class RunContext;
 class ThreadPool;
 
 /// Fast-path knobs shared by the quality applications, following the same
-/// convention as the discovery miners: `use_encoding == false` with a null
-/// `pool` is the Value-based oracle; the default runs on the
+/// convention as the discovery miners: every application runs on the
 /// dictionary-encoded columnar backend, fanning the read-only scans onto
-/// the engine thread pool with all order-sensitive merges replayed
-/// serially — results are identical at any thread count. `cache` lends its
-/// encoding when the application reads the relation it serves (appliers
-/// that mutate a working copy re-encode that copy instead).
+/// the engine thread pool when `pool` is set, with all order-sensitive
+/// merges replayed serially — results are identical at any thread count.
+/// `cache` lends its encoding when the application reads the relation it
+/// serves (appliers that mutate a working copy re-encode that copy instead).
 struct QualityOptions {
-  bool use_encoding = true;
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
   /// Route pairwise scans through the shared comparison kernel
@@ -25,7 +23,7 @@ struct QualityOptions {
   /// threshold-bucket bits (byte-wide banded-edit bucket tables instead of
   /// full distance tables), decoded by bitmask per rule. Applications fall
   /// back to their per-predicate scans (identical output) for configs the
-  /// kernel cannot mirror exactly. Requires use_encoding.
+  /// kernel cannot mirror exactly.
   bool use_evidence = true;
   /// Optional shared store for kernel-built evidence multisets.
   EvidenceCache* evidence = nullptr;

@@ -6,7 +6,6 @@
 
 #include "common/run_context.h"
 #include "common/strings.h"
-#include "deps/sd.h"
 #include "discovery/discovery_util.h"
 
 namespace famtree {
@@ -40,90 +39,26 @@ std::vector<double> CodeNumerics(const EncodedRelation& enc, int col) {
 Result<std::vector<Violation>> DetectSpeedViolations(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint) {
-  FAMTREE_RETURN_NOT_OK(
-      CheckArgs(relation, time_attr, value_attr, constraint));
-  std::vector<int> order = Sd::SortedOrder(relation, time_attr);
-  std::vector<Violation> out;
-  for (size_t i = 0; i + 1 < order.size(); ++i) {
-    double t1 = relation.Get(order[i], time_attr).AsNumeric();
-    double t2 = relation.Get(order[i + 1], time_attr).AsNumeric();
-    double v1 = relation.Get(order[i], value_attr).AsNumeric();
-    double v2 = relation.Get(order[i + 1], value_attr).AsNumeric();
-    double dt = t2 - t1;
-    if (!std::isfinite(dt) || dt <= 0) continue;  // ties or bad stamps
-    double speed = (v2 - v1) / dt;
-    // Tolerance: repairs clamp exactly onto the band boundary, and the
-    // recomputed (v2 - v1) / dt can land an ulp outside it.
-    double eps = 1e-9 * std::max({1.0, std::fabs(constraint.min_speed),
-                                  std::fabs(constraint.max_speed),
-                                  std::fabs(v1), std::fabs(v2)});
-    if (!std::isfinite(speed) || speed < constraint.min_speed - eps ||
-        speed > constraint.max_speed + eps) {
-      out.push_back(Violation{
-          {order[i], order[i + 1]},
-          "rate of change " + FormatDouble(speed) + " outside [" +
-              FormatDouble(constraint.min_speed) + ", " +
-              FormatDouble(constraint.max_speed) + "]"});
-    }
-  }
-  return out;
+  return DetectSpeedViolations(relation, time_attr, value_attr, constraint,
+                               QualityOptions{});
 }
 
 Result<RepairResult> RepairWithSpeedConstraint(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint) {
-  FAMTREE_RETURN_NOT_OK(
-      CheckArgs(relation, time_attr, value_attr, constraint));
-  RepairResult result;
-  result.repaired = relation;
-  std::vector<int> order = Sd::SortedOrder(relation, time_attr);
-  if (order.empty()) return result;
-  double prev_t =
-      result.repaired.Get(order[0], time_attr).AsNumeric();
-  double prev_v =
-      result.repaired.Get(order[0], value_attr).AsNumeric();
-  for (size_t i = 1; i < order.size(); ++i) {
-    int row = order[i];
-    double t = result.repaired.Get(row, time_attr).AsNumeric();
-    double v = result.repaired.Get(row, value_attr).AsNumeric();
-    double dt = t - prev_t;
-    if (!std::isfinite(dt) || dt <= 0 || !std::isfinite(v)) {
-      prev_t = std::isfinite(t) ? t : prev_t;
-      prev_v = std::isfinite(v) ? v : prev_v;
-      continue;
-    }
-    double lo = prev_v + constraint.min_speed * dt;
-    double hi = prev_v + constraint.max_speed * dt;
-    double clamped = std::clamp(v, lo, hi);
-    if (clamped != v) {
-      result.changes.push_back(CellChange{
-          row, value_attr, result.repaired.Get(row, value_attr),
-          Value(clamped)});
-      result.repaired.Set(row, value_attr, Value(clamped));
-    }
-    prev_t = t;
-    prev_v = clamped;
-  }
-  auto remaining = DetectSpeedViolations(result.repaired, time_attr,
-                                         value_attr, constraint);
-  result.remaining_violations =
-      remaining.ok() ? static_cast<int>(remaining->size()) : -1;
-  return result;
+  return RepairWithSpeedConstraint(relation, time_attr, value_attr,
+                                   constraint, QualityOptions{});
 }
 
 Result<std::vector<Violation>> DetectSpeedViolations(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint, const QualityOptions& options) {
-  if (!options.use_encoding) {
-    return DetectSpeedViolations(relation, time_attr, value_attr, constraint);
-  }
   FAMTREE_RETURN_NOT_OK(
       CheckArgs(relation, time_attr, value_attr, constraint));
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, /*use_encoding=*/true, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<int> order =
       SortedRowOrder(*encoded, time_attr, CodeRanks(*encoded, time_attr));
   std::vector<double> time_num = CodeNumerics(*encoded, time_attr);
@@ -150,6 +85,8 @@ Result<std::vector<Violation>> DetectSpeedViolations(
     double dt = t2 - t1;
     if (!std::isfinite(dt) || dt <= 0) continue;  // ties or bad stamps
     double speed = (v2 - v1) / dt;
+    // Tolerance: repairs clamp exactly onto the band boundary, and the
+    // recomputed (v2 - v1) / dt can land an ulp outside it.
     double eps = 1e-9 * std::max({1.0, std::fabs(constraint.min_speed),
                                   std::fabs(constraint.max_speed),
                                   std::fabs(v1), std::fabs(v2)});
@@ -169,17 +106,12 @@ Result<std::vector<Violation>> DetectSpeedViolations(
 Result<RepairResult> RepairWithSpeedConstraint(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint, const QualityOptions& options) {
-  if (!options.use_encoding) {
-    return RepairWithSpeedConstraint(relation, time_attr, value_attr,
-                                     constraint);
-  }
   FAMTREE_RETURN_NOT_OK(
       CheckArgs(relation, time_attr, value_attr, constraint));
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, /*use_encoding=*/true, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<int> order =
       SortedRowOrder(*encoded, time_attr, CodeRanks(*encoded, time_attr));
   // The scan visits each row exactly once and only ever writes the row it

@@ -28,10 +28,9 @@ Result<std::vector<Violation>> DetectSpeedViolations(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint);
 
-/// Fast-path overload: the time sort becomes a stable counting sort over
-/// code ranks and the numerics decode once per dictionary code (in
-/// parallel on the pool); the scan itself is a linear pass. Identical to
-/// the oracle.
+/// Options overload (the one above runs it with default options): the time
+/// sort is a stable counting sort over code ranks and the numerics decode
+/// once per dictionary code; the scan itself is a linear pass.
 Result<std::vector<Violation>> DetectSpeedViolations(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint, const QualityOptions& options);
@@ -45,9 +44,10 @@ Result<RepairResult> RepairWithSpeedConstraint(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint);
 
-/// Fast-path overload: same clamping scan (inherently sequential — each
-/// window depends on the previous repaired value) on top of the encoded
-/// sort and per-code numerics. Identical to the oracle.
+/// Options overload (the one above runs it with default options): the
+/// clamping scan (inherently sequential — each window depends on the
+/// previous repaired value) on top of the encoded sort and per-code
+/// numerics.
 Result<RepairResult> RepairWithSpeedConstraint(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint, const QualityOptions& options);

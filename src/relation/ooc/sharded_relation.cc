@@ -426,12 +426,24 @@ Result<size_t> ShardedEncodedRelation::TrySpillResident(
 Status ShardedEncodedRelation::ChargeWithSpill(RunContext* ctx, size_t bytes,
                                                const char* site) const {
   MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget() : nullptr;
-  if (budget != nullptr && bytes > 0 && budget->remaining() < bytes) {
-    size_t need = bytes - budget->remaining();
-    FAMTREE_ASSIGN_OR_RETURN(size_t freed, TrySpillResident(ctx, need));
-    (void)freed;  // ChargeAlloc below gives the authoritative answer
+  if (budget == nullptr || bytes == 0) {
+    return RunContext::ChargeAlloc(ctx, bytes, site);
   }
-  return RunContext::ChargeAlloc(ctx, bytes, site);
+  // The latched state and the injector, consulted once per call.
+  FAMTREE_RETURN_NOT_OK(RunContext::ChargeAlloc(ctx, 0, site));
+  // Charge-or-spill-and-retry, one charger at a time per relation: a
+  // concurrent charger (or a plain ChargeAlloc elsewhere) may take the
+  // bytes a spill just freed, so the charge retries for as long as
+  // spilling still releases something. Only when no resident shard is
+  // left does the final charge latch kResourceExhausted.
+  std::lock_guard<std::mutex> lock(charge_mu_);
+  while (!budget->TryCharge(bytes)) {
+    size_t remaining = budget->remaining();
+    size_t need = bytes > remaining ? bytes - remaining : 0;
+    FAMTREE_ASSIGN_OR_RETURN(size_t freed, TrySpillResident(ctx, need));
+    if (freed == 0) return RunContext::ChargeBudget(ctx, bytes, site);
+  }
+  return Status::OK();
 }
 
 Status ShardedEncodedRelation::CopyShardColumn(int shard, int col,

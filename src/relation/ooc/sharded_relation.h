@@ -132,10 +132,12 @@ class ShardedEncodedRelation {
   /// resident. Logically const: residency moves, content does not.
   Result<size_t> TrySpillResident(RunContext* ctx, size_t bytes_needed) const;
 
-  /// Charges `bytes` at `site`, first spilling resident shards when the
-  /// context's budget lacks headroom. Falls through to the ordinary
-  /// latching ChargeAlloc, so injected faults and genuine exhaustion
-  /// behave exactly as everywhere else.
+  /// Charges `bytes` at `site`, spilling resident shards while the
+  /// context's budget lacks headroom. Concurrent callers are serialized
+  /// and a charge retries as long as spilling frees bytes, so one caller
+  /// cannot latch exhaustion on bytes another caller's spill freed. The
+  /// injector is consulted once per call and genuine exhaustion latches
+  /// exactly as ChargeAlloc does.
   Status ChargeWithSpill(RunContext* ctx, size_t bytes,
                          const char* site) const;
 
@@ -197,6 +199,7 @@ class ShardedEncodedRelation {
   MemoryBudget* ingest_budget_ = nullptr;
 
   mutable std::mutex mu_;  // guards shard residency and the spill file
+  mutable std::mutex charge_mu_;  // serializes ChargeWithSpill; before mu_
   mutable std::vector<Shard> shards_;
   mutable SpillFile spill_;
   mutable int shards_spilled_after_ingest_ = 0;

@@ -27,8 +27,9 @@ class StrippedPartition {
   StrippedPartition() = default;
 
   /// Builds the partition by a single attribute / an attribute set from the
-  /// Value-based grouping on the relation. These are the differential-test
-  /// oracle paths; the engine uses the EncodedRelation overloads below.
+  /// Value-based grouping on the relation, for the dependency validators
+  /// (deps/) and the tests; the engine uses the EncodedRelation overloads
+  /// below.
   static StrippedPartition ForAttribute(const Relation& relation, int attr);
   static StrippedPartition ForAttributeSet(const Relation& relation,
                                            AttrSet attrs);
@@ -116,9 +117,8 @@ class StrippedPartition {
   /// The g3 error of the FD X -> Y (fraction of rows to delete so the FD
   /// holds), computed from this partition (for X) against the `rhs` column
   /// grouping. Matches the paper's Section 2.3.1 definition. The Relation
-  /// overload is the Value-based oracle; the EncodedRelation overload
-  /// counts plurality RHS codes through a scratch array and returns the
-  /// identical value.
+  /// overload groups Values; the EncodedRelation overload counts plurality
+  /// RHS codes through a scratch array and returns the identical value.
   double FdError(const Relation& relation, AttrSet rhs) const;
   double FdError(const EncodedRelation& encoded, AttrSet rhs) const;
 

@@ -184,6 +184,43 @@ TEST(OocDeterminismTest, DiscoveryPressureSpillsIngestResidentShards) {
   EXPECT_LE(budget.used(), budget.limit());
 }
 
+// Regression for concurrent spill charges: the leaf-PLI builds of one
+// level run in parallel, and each one's ChargeWithSpill used to read the
+// budget's headroom, spill, then charge in three separate steps — so one
+// build could take the bytes another's spill had just freed, latch
+// kResourceExhausted, and leave TaneOutOfCore returning OK with an empty
+// cover. The scenario above, repeated in-process with a fresh ingest,
+// budget and engine each time, so a scheduling-dependent loss shows up in
+// a single run of the suite.
+TEST(OocDeterminismTest, ConcurrentSpillChargesKeepTheCoverComplete) {
+  std::string csv = MakeCsv(2000);
+  DiscoveryEngine reference;
+  Result<std::vector<DiscoveredFd>> expected = reference.Tane(MustRead(csv));
+  ASSERT_TRUE(expected.ok());
+  ASSERT_FALSE(expected->empty());
+  EngineOptions engine_options;
+  engine_options.num_threads = 4;
+  for (int iter = 0; iter < 300; ++iter) {
+    MemoryBudget budget(48 << 10);
+    RunContext ctx;
+    ctx.set_memory_budget(&budget);
+    IngestOptions options;
+    options.context = &ctx;
+    options.shard_rows = 256;
+    options.io_chunk_bytes = 4096;
+    auto sharded = MustIngest(csv, options);
+    DiscoveryEngine engine(engine_options);
+    TaneOptions tane;
+    tane.context = &ctx;
+    Result<std::vector<DiscoveredFd>> got =
+        engine.TaneOutOfCore(*sharded, tane);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    ASSERT_FALSE(ctx.report().exhausted)
+        << "iteration " << iter << ": " << ctx.report().stop_detail;
+    ASSERT_EQ(Canonical(*expected), Canonical(*got)) << "iteration " << iter;
+  }
+}
+
 // Fault injection at the spill write: ingest fails with the injected stop,
 // nothing half-written survives (the spill file is unlinked on creation).
 TEST(OocDeterminismTest, InjectedSpillFaultDuringIngest) {

@@ -1,8 +1,10 @@
-// Differential tests for the algorithms ported onto the unified fast path
-// (encoded substrate + shared PLI cache + engine thread pool): for thread
-// counts {1, 2, 8}, every ported miner and quality application must produce
-// output bit-identical to its Value-based serial oracle
-// (use_encoding = false, no pool), with and without a PliCache.
+// Differential tests for the algorithms on the unified fast path (encoded
+// substrate + shared PLI cache + engine thread pool): for thread counts
+// {1, 2, 8}, every miner and quality application must reproduce the output
+// of its serial Value-based oracle, with and without a PliCache. The
+// oracle's outputs on these exact inputs are frozen under tests/golden/
+// (see tests/golden.h); each configuration's canonical text must equal its
+// case's file byte for byte.
 //
 // Seeding convention: every generator seed in this file derives from
 // CaseSeed("<TestCaseName>") — a stable FNV-1a hash of the case name —
@@ -23,6 +25,7 @@
 #include "gen/generators.h"
 #include "metric/metric.h"
 #include "relation/csv.h"
+#include "golden.h"
 
 namespace famtree {
 namespace {
@@ -41,31 +44,37 @@ constexpr uint64_t CaseSeed(const char* name) {
   return h;
 }
 
+/// Expects `result`'s canonical text to equal golden file `name`.
+template <typename T>
+void ExpectGolden(const std::string& name, const T& result,
+                  const std::string& config) {
+  bool found = false;
+  std::string want = golden::Read(name, &found);
+  ASSERT_TRUE(found) << "missing golden file " << golden::Path(name);
+  EXPECT_EQ(want, golden::Document(result))
+      << name << " under config " << config;
+}
+
 /// Configurations every ported algorithm is checked under, against the
-/// oracle: encoded without a pool, pool without encoding, and the full
-/// fast path (encoded + pool + cache).
+/// golden oracle output: serial, pooled, and the full fast path
+/// (pool + cache).
 template <typename Options>
 std::vector<std::pair<std::string, Options>> FastConfigs(Options base,
                                                          ThreadPool* pool,
                                                          PliCache* cache) {
   std::vector<std::pair<std::string, Options>> configs;
-  Options encoded = base;
-  encoded.use_encoding = true;
-  configs.push_back({"encoded", encoded});
+  configs.push_back({"serial", base});
   Options pooled = base;
-  pooled.use_encoding = false;
   pooled.pool = pool;
   configs.push_back({"pool", pooled});
-  Options full = base;
-  full.use_encoding = true;
-  full.pool = pool;
+  Options full = pooled;
   full.cache = cache;
-  configs.push_back({"encoded+pool+cache", full});
+  configs.push_back({"pool+cache", full});
   return configs;
 }
 
 /// Extra configurations for the miners rewired through the shared pairwise
-/// evidence kernel (FastConfigs' encoded entries already run the kernel —
+/// evidence kernel (FastConfigs' entries already run the kernel —
 /// use_evidence defaults on): the pre-kernel encoded walks with the kernel
 /// switched off, and the full fast path with a shared EvidenceCache
 /// attached, run twice so the second pass is served from the cache.
@@ -75,15 +84,12 @@ std::vector<std::pair<std::string, Options>> EvidenceConfigs(
     EvidenceCache* evidence) {
   std::vector<std::pair<std::string, Options>> configs;
   Options no_kernel = base;
-  no_kernel.use_encoding = true;
   no_kernel.use_evidence = false;
   configs.push_back({"encoded-no-kernel", no_kernel});
   no_kernel.pool = pool;
   no_kernel.cache = cache;
   configs.push_back({"encoded+pool-no-kernel", no_kernel});
   Options cached = base;
-  cached.use_encoding = true;
-  cached.use_evidence = true;  // explicit: constant CFDs default it off
   cached.pool = pool;
   cached.cache = cache;
   cached.evidence = evidence;
@@ -117,22 +123,6 @@ Relation ConflictRelation(uint64_t seed, int rows) {
   return std::move(b.Build()).value();
 }
 
-void ExpectSameRepair(const RepairResult& oracle, const RepairResult& fast,
-                      const std::string& what) {
-  EXPECT_EQ(WriteCsvString(oracle.repaired), WriteCsvString(fast.repaired))
-      << what;
-  ASSERT_EQ(oracle.changes.size(), fast.changes.size()) << what;
-  for (size_t i = 0; i < oracle.changes.size(); ++i) {
-    EXPECT_EQ(oracle.changes[i].row, fast.changes[i].row) << what << " " << i;
-    EXPECT_EQ(oracle.changes[i].col, fast.changes[i].col) << what << " " << i;
-    EXPECT_EQ(oracle.changes[i].old_value, fast.changes[i].old_value)
-        << what << " " << i;
-    EXPECT_EQ(oracle.changes[i].new_value, fast.changes[i].new_value)
-        << what << " " << i;
-  }
-  EXPECT_EQ(oracle.remaining_violations, fast.remaining_violations) << what;
-}
-
 class PortedDeterminismTest : public testing::TestWithParam<int> {};
 
 // ------------------------------------------------------------- miners
@@ -147,24 +137,10 @@ TEST_P(PortedDeterminismTest, ConstantCfdsMatchOracle) {
   CfdDiscoveryOptions base;
   base.min_support = 2;
   base.max_lhs_size = 2;
-  CfdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverConstantCfds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  auto configs = FastConfigs(base, &pool, &cache);
-  for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
-    configs.push_back(std::move(c));
-  }
-  for (const auto& [name, options] : configs) {
+  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
     auto fast = DiscoverConstantCfds(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].cfd.ToString(), (*fast)[i].cfd.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
+    ExpectGolden("ConstantCfds", *fast, name);
   }
 }
 
@@ -178,19 +154,10 @@ TEST_P(PortedDeterminismTest, GeneralCfdsMatchOracle) {
   CfdDiscoveryOptions base;
   base.min_support = 2;
   base.max_lhs_size = 2;
-  CfdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverGeneralCfds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
   for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
     auto fast = DiscoverGeneralCfds(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].cfd.ToString(), (*fast)[i].cfd.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
+    ExpectGolden("GeneralCfds", *fast, name);
   }
 }
 
@@ -207,21 +174,11 @@ TEST_P(PortedDeterminismTest, GreedyTableauMatchesOracle) {
   }
   Relation r = std::move(b.Build()).value();
   PliCache cache(r);
-  TableauOptions base;
-  TableauOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = BuildGreedyTableau(r, AttrSet::Of({0, 1}), 2, 0,
-                                   oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
+  for (const auto& [name, options] :
+       FastConfigs(TableauOptions{}, &pool, &cache)) {
     auto fast = BuildGreedyTableau(r, AttrSet::Of({0, 1}), 2, 0, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].cfd.ToString(), (*fast)[i].cfd.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
+    ExpectGolden("GreedyTableau", *fast, name);
   }
 }
 
@@ -231,18 +188,11 @@ TEST_P(PortedDeterminismTest, UnaryOdsMatchOracle) {
   config.num_hotels = 60;
   GeneratedData data = GenerateHotels(config);
   PliCache cache(data.relation);
-  OdDiscoveryOptions base;
-  OdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverUnaryOds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
+  for (const auto& [name, options] :
+       FastConfigs(OdDiscoveryOptions{}, &pool, &cache)) {
     auto fast = DiscoverUnaryOds(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].od.ToString(), (*fast)[i].od.ToString()) << name;
-    }
+    ExpectGolden("UnaryOds", *fast, name);
   }
 }
 
@@ -255,37 +205,13 @@ TEST_P(PortedDeterminismTest, MvdsAndFhdsMatchOracle) {
   PliCache cache(data.relation);
   MvdDiscoveryOptions base;
   base.max_spurious_ratio = 0.1;
-  MvdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverMvds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  auto oracle_fhds = DiscoverFhds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle_fhds.ok());
   for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
     auto fast = DiscoverMvds(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].lhs.mask(), (*fast)[i].lhs.mask()) << name;
-      EXPECT_EQ((*oracle)[i].rhs.mask(), (*fast)[i].rhs.mask()) << name;
-      EXPECT_EQ((*oracle)[i].spurious_ratio, (*fast)[i].spurious_ratio)
-          << name;
-    }
+    ExpectGolden("Mvds", *fast, name);
     auto fast_fhds = DiscoverFhds(data.relation, options);
     ASSERT_TRUE(fast_fhds.ok()) << name;
-    ASSERT_EQ(oracle_fhds->size(), fast_fhds->size()) << name;
-    for (size_t i = 0; i < oracle_fhds->size(); ++i) {
-      EXPECT_EQ((*oracle_fhds)[i].lhs.mask(), (*fast_fhds)[i].lhs.mask())
-          << name;
-      ASSERT_EQ((*oracle_fhds)[i].blocks.size(),
-                (*fast_fhds)[i].blocks.size())
-          << name;
-      for (size_t k = 0; k < (*oracle_fhds)[i].blocks.size(); ++k) {
-        EXPECT_EQ((*oracle_fhds)[i].blocks[k].mask(),
-                  (*fast_fhds)[i].blocks[k].mask())
-            << name;
-      }
-    }
+    ExpectGolden("Fhds", *fast_fhds, name);
   }
 }
 
@@ -299,19 +225,10 @@ TEST_P(PortedDeterminismTest, PfdsMatchOracle) {
   PfdDiscoveryOptions base;
   base.min_probability = 0.8;
   base.max_lhs_size = 2;
-  PfdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverPfds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
   for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
     auto fast = DiscoverPfds(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].lhs.mask(), (*fast)[i].lhs.mask()) << name;
-      EXPECT_EQ((*oracle)[i].rhs, (*fast)[i].rhs) << name;
-      EXPECT_EQ((*oracle)[i].probability, (*fast)[i].probability) << name;
-    }
+    ExpectGolden("Pfds", *fast, name);
   }
 }
 
@@ -326,10 +243,6 @@ TEST_P(PortedDeterminismTest, DdsMatchOracle) {
   DdDiscoveryOptions base;
   base.min_support = 2;
   base.max_lhs_attrs = 1;
-  DdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverDds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
   EvidenceCache evidence;
   auto configs = FastConfigs(base, &pool, &cache);
   for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
@@ -338,11 +251,7 @@ TEST_P(PortedDeterminismTest, DdsMatchOracle) {
   for (const auto& [name, options] : configs) {
     auto fast = DiscoverDds(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].dd.ToString(), (*fast)[i].dd.ToString()) << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
+    ExpectGolden("Dds", *fast, name);
   }
 }
 
@@ -359,10 +268,6 @@ TEST_P(PortedDeterminismTest, SampledDdsMatchOracle) {
   base.min_support = 2;
   base.max_lhs_attrs = 1;
   base.sample_rows = 40;
-  DdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverDds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
   EvidenceCache evidence;
   auto configs = FastConfigs(base, &pool, &cache);
   for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
@@ -371,11 +276,7 @@ TEST_P(PortedDeterminismTest, SampledDdsMatchOracle) {
   for (const auto& [name, options] : configs) {
     auto fast = DiscoverDds(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].dd.ToString(), (*fast)[i].dd.ToString()) << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
+    ExpectGolden("SampledDds", *fast, name);
   }
 }
 
@@ -391,10 +292,6 @@ TEST_P(PortedDeterminismTest, NedsMatchOracle) {
   base.thresholds = {0, 2};
   base.min_support = 2;
   base.min_confidence = 0.9;
-  NedDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverNeds(data.relation, target, oracle_options);
-  ASSERT_TRUE(oracle.ok());
   EvidenceCache evidence;
   auto configs = FastConfigs(base, &pool, &cache);
   for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
@@ -403,13 +300,7 @@ TEST_P(PortedDeterminismTest, NedsMatchOracle) {
   for (const auto& [name, options] : configs) {
     auto fast = DiscoverNeds(data.relation, target, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].ned.ToString(), (*fast)[i].ned.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-      EXPECT_EQ((*oracle)[i].confidence, (*fast)[i].confidence) << name;
-    }
+    ExpectGolden("Neds", *fast, name);
   }
 }
 
@@ -425,11 +316,6 @@ TEST_P(PortedDeterminismTest, MdsMatchOracle) {
   base.min_support = 0.0005;
   base.min_confidence = 0.9;
   base.max_lhs_attrs = 2;
-  MdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverMds(data.relation, AttrSet::Single(4),
-                            oracle_options);
-  ASSERT_TRUE(oracle.ok());
   EvidenceCache evidence;
   auto configs = FastConfigs(base, &pool, &cache);
   for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
@@ -438,12 +324,7 @@ TEST_P(PortedDeterminismTest, MdsMatchOracle) {
   for (const auto& [name, options] : configs) {
     auto fast = DiscoverMds(data.relation, AttrSet::Single(4), options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].md.ToString(), (*fast)[i].md.ToString()) << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-      EXPECT_EQ((*oracle)[i].confidence, (*fast)[i].confidence) << name;
-    }
+    ExpectGolden("Mds", *fast, name);
   }
 }
 
@@ -456,10 +337,6 @@ TEST_P(PortedDeterminismTest, MfdsMatchOracle) {
   PliCache cache(data.relation);
   MfdDiscoveryOptions base;
   base.max_delta_ratio = 0.5;
-  MfdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverMfds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
   EvidenceCache evidence;
   auto configs = FastConfigs(base, &pool, &cache);
   for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
@@ -468,12 +345,7 @@ TEST_P(PortedDeterminismTest, MfdsMatchOracle) {
   for (const auto& [name, options] : configs) {
     auto fast = DiscoverMfds(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].mfd.ToString(), (*fast)[i].mfd.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].delta, (*fast)[i].delta) << name;
-    }
+    ExpectGolden("Mfds", *fast, name);
   }
 }
 
@@ -485,15 +357,13 @@ TEST_P(PortedDeterminismTest, FastDcEvidenceMatchesOracle) {
   GeneratedData data = GenerateHeterogeneous(config);
   FastDcOptions base;
   base.max_predicates = 3;
-  FastDcOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverDcs(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
   EvidenceCache evidence;
   std::vector<std::pair<std::string, FastDcOptions>> configs;
   FastDcOptions no_kernel = base;
   no_kernel.use_evidence = false;
   configs.push_back({"encoded-no-kernel", no_kernel});
+  no_kernel.pool = &pool;
+  configs.push_back({"encoded+pool-no-kernel", no_kernel});
   FastDcOptions kernel = base;
   configs.push_back({"kernel", kernel});
   kernel.pool = &pool;
@@ -501,30 +371,24 @@ TEST_P(PortedDeterminismTest, FastDcEvidenceMatchesOracle) {
   kernel.evidence = &evidence;
   configs.push_back({"kernel+cache-build", kernel});
   configs.push_back({"kernel+cache-hit", kernel});
+  for (const auto& [name, options] : configs) {
+    auto fast = DiscoverDcs(data.relation, options);
+    ASSERT_TRUE(fast.ok()) << name;
+    ExpectGolden("FastDc", *fast, name);
+  }
   // Sampled builds replay the serial pair stream through the kernel; the
   // explicit pair list bypasses the cache but must match the oracle too.
   FastDcOptions sampled = base;
   sampled.max_rows_exact = 30;
+  std::vector<std::pair<std::string, FastDcOptions>> sampled_configs;
+  sampled_configs.push_back({"sampled", sampled});
   sampled.pool = &pool;
   sampled.evidence = &evidence;
-  FastDcOptions sampled_oracle = sampled;
-  sampled_oracle.use_encoding = false;
-  sampled_oracle.pool = nullptr;
-  sampled_oracle.evidence = nullptr;
-  auto oracle_sampled = DiscoverDcs(data.relation, sampled_oracle);
-  ASSERT_TRUE(oracle_sampled.ok());
-  configs.push_back({"kernel+sampled", sampled});
-  for (const auto& [name, options] : configs) {
-    const auto& want =
-        options.max_rows_exact == 30 ? *oracle_sampled : *oracle;
+  sampled_configs.push_back({"kernel+sampled", sampled});
+  for (const auto& [name, options] : sampled_configs) {
     auto fast = DiscoverDcs(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(want.size(), fast->size()) << name;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(want[i].dc.ToString(), (*fast)[i].dc.ToString()) << name;
-      EXPECT_EQ(want[i].violation_fraction, (*fast)[i].violation_fraction)
-          << name;
-    }
+    ExpectGolden("FastDcSampled", *fast, name);
   }
 }
 
@@ -533,34 +397,27 @@ TEST_P(PortedDeterminismTest, SdAndCsdTableauMatchOracle) {
   Relation r = SensorSeries(CaseSeed("SdAndCsdTableauMatchOracle"), 120);
   PliCache cache(r);
   SdDiscoveryOptions base;
-  base.min_confidence = 0.0;  // always report, so both paths must agree
-  SdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverSd(r, 0, 1, oracle_options);
-  ASSERT_TRUE(oracle.ok());
+  base.min_confidence = 0.0;  // always report, so every config must agree
   for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
     auto fast = DiscoverSd(r, 0, 1, options);
     ASSERT_TRUE(fast.ok()) << name;
-    EXPECT_EQ(oracle->sd.ToString(), fast->sd.ToString()) << name;
-    EXPECT_EQ(oracle->confidence, fast->confidence) << name;
+    ExpectGolden("Sd", *fast, name);
   }
 
   CsdDiscoveryOptions csd_base;
   csd_base.gap = Interval::Between(-10.0, 10.0);
   csd_base.min_confidence = 0.8;
-  CsdDiscoveryOptions csd_oracle_options = csd_base;
-  csd_oracle_options.use_encoding = false;
-  auto csd_oracle = DiscoverCsdTableau(r, 0, 1, csd_oracle_options);
-  ASSERT_TRUE(csd_oracle.ok());
   for (const auto& [name, options] : FastConfigs(csd_base, &pool, &cache)) {
     auto fast = DiscoverCsdTableau(r, 0, 1, options);
     ASSERT_TRUE(fast.ok()) << name;
-    EXPECT_EQ(csd_oracle->csd.ToString(), fast->csd.ToString()) << name;
-    EXPECT_EQ(csd_oracle->covered_rows, fast->covered_rows) << name;
+    ExpectGolden("CsdTableau", *fast, name);
   }
 }
 
 // -------------------------------------------------- quality applications
+//
+// The option-less overloads forward to the QualityOptions ones; each case
+// checks them against the golden file too.
 
 TEST_P(PortedDeterminismTest, FdRepairMatchesOracle) {
   ThreadPool pool(GetParam());
@@ -573,13 +430,14 @@ TEST_P(PortedDeterminismTest, FdRepairMatchesOracle) {
   PliCache cache(data.relation);
   std::vector<Fd> fds = {Fd(AttrSet::Single(1), AttrSet::Single(2)),
                          Fd(AttrSet::Single(0), AttrSet::Single(4))};
-  auto oracle = RepairWithFds(data.relation, fds);
-  ASSERT_TRUE(oracle.ok());
+  auto plain = RepairWithFds(data.relation, fds);
+  ASSERT_TRUE(plain.ok());
+  ExpectGolden("FdRepair", *plain, "option-less");
   for (const auto& [name, options] :
        FastConfigs(QualityOptions{}, &pool, &cache)) {
     auto fast = RepairWithFds(data.relation, fds, 4, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ExpectSameRepair(*oracle, *fast, "fd repair " + name);
+    ExpectGolden("FdRepair", *fast, name);
   }
 }
 
@@ -597,13 +455,14 @@ TEST_P(PortedDeterminismTest, CfdRepairMatchesOracle) {
       Cfd(AttrSet::Single(3), AttrSet::Single(4),
           PatternTuple({PatternItem::Const(3, Value(2)),
                         PatternItem::Wildcard(4)}))};
-  auto oracle = RepairWithCfds(data.relation, cfds);
-  ASSERT_TRUE(oracle.ok());
+  auto plain = RepairWithCfds(data.relation, cfds);
+  ASSERT_TRUE(plain.ok());
+  ExpectGolden("CfdRepair", *plain, "option-less");
   for (const auto& [name, options] :
        FastConfigs(QualityOptions{}, &pool, &cache)) {
     auto fast = RepairWithCfds(data.relation, cfds, 4, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ExpectSameRepair(*oracle, *fast, "cfd repair " + name);
+    ExpectGolden("CfdRepair", *fast, name);
   }
 }
 
@@ -622,13 +481,14 @@ TEST_P(PortedDeterminismTest, HolisticRepairMatchesOracle) {
   Dc dc({DcPredicate{DcOperand::TupleA(0), CmpOp::kEq, DcOperand::TupleB(0)},
          DcPredicate{DcOperand::TupleA(1), CmpOp::kNeq,
                      DcOperand::TupleB(1)}});
-  auto oracle = RepairWithDcsHolistic(r, {dc});
-  ASSERT_TRUE(oracle.ok());
+  auto plain = RepairWithDcsHolistic(r, {dc});
+  ASSERT_TRUE(plain.ok());
+  ExpectGolden("HolisticRepair", *plain, "option-less");
   for (const auto& [name, options] :
        FastConfigs(QualityOptions{}, &pool, &cache)) {
     auto fast = RepairWithDcsHolistic(r, {dc}, 1000, options);
     ASSERT_TRUE(fast.ok()) << name;
-    ExpectSameRepair(*oracle, *fast, "holistic " + name);
+    ExpectGolden("HolisticRepair", *fast, name);
   }
 }
 
@@ -647,8 +507,9 @@ TEST_P(PortedDeterminismTest, DedupMatchMatchesOracle) {
                      Md({SimilarityPredicate{3, GetEditDistanceMetric(), 4},
                          SimilarityPredicate{4, GetAbsDiffMetric(), 0}},
                         AttrSet::Single(5))});
-  auto oracle = matcher.Match(data.relation);
-  ASSERT_TRUE(oracle.ok());
+  auto plain = matcher.Match(data.relation);
+  ASSERT_TRUE(plain.ok());
+  ExpectGolden("DedupMatch", *plain, "option-less");
   EvidenceCache evidence;
   auto configs = FastConfigs(QualityOptions{}, &pool, &cache);
   for (auto& c :
@@ -658,9 +519,7 @@ TEST_P(PortedDeterminismTest, DedupMatchMatchesOracle) {
   for (const auto& [name, options] : configs) {
     auto fast = matcher.Match(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
-    EXPECT_EQ(oracle->cluster_ids, fast->cluster_ids) << name;
-    EXPECT_EQ(oracle->num_clusters, fast->num_clusters) << name;
-    EXPECT_EQ(oracle->matched_pairs, fast->matched_pairs) << name;
+    ExpectGolden("DedupMatch", *fast, name);
   }
 }
 
@@ -679,16 +538,14 @@ TEST_P(PortedDeterminismTest, ImputeMatchesOracle) {
   PliCache cache(r);
   Ned rule({Ned::Predicate{0, GetEditDistanceMetric(), 1.0}},
            {Ned::Predicate{1, GetAbsDiffMetric(), 50.0}});
-  auto oracle = ImputeWithNed(r, rule);
-  ASSERT_TRUE(oracle.ok());
+  auto plain = ImputeWithNed(r, rule);
+  ASSERT_TRUE(plain.ok());
+  ExpectGolden("Impute", *plain, "option-less");
   for (const auto& [name, options] :
        FastConfigs(QualityOptions{}, &pool, &cache)) {
     auto fast = ImputeWithNed(r, rule, options);
     ASSERT_TRUE(fast.ok()) << name;
-    EXPECT_EQ(WriteCsvString(oracle->imputed), WriteCsvString(fast->imputed))
-        << name;
-    EXPECT_EQ(oracle->filled, fast->filled) << name;
-    EXPECT_EQ(oracle->unfilled, fast->unfilled) << name;
+    ExpectGolden("Impute", *fast, name);
   }
 }
 
@@ -702,20 +559,20 @@ TEST_P(PortedDeterminismTest, CqaMatchesOracle) {
   q.op = CmpOp::kEq;
   q.constant = Value("Boston");
   q.projection = AttrSet::Of({0, 2});
-  auto certain_oracle = CertainAnswers(r, fd, q);
-  ASSERT_TRUE(certain_oracle.ok());
-  auto possible_oracle = PossibleAnswers(r, fd, q);
-  ASSERT_TRUE(possible_oracle.ok());
+  auto certain_plain = CertainAnswers(r, fd, q);
+  ASSERT_TRUE(certain_plain.ok());
+  ExpectGolden("CqaCertain", *certain_plain, "option-less");
+  auto possible_plain = PossibleAnswers(r, fd, q);
+  ASSERT_TRUE(possible_plain.ok());
+  ExpectGolden("CqaPossible", *possible_plain, "option-less");
   for (const auto& [name, options] :
        FastConfigs(QualityOptions{}, &pool, &cache)) {
     auto certain = CertainAnswers(r, fd, q, options);
     ASSERT_TRUE(certain.ok()) << name;
-    EXPECT_EQ(WriteCsvString(*certain_oracle), WriteCsvString(*certain))
-        << name;
+    ExpectGolden("CqaCertain", *certain, name);
     auto possible = PossibleAnswers(r, fd, q, options);
     ASSERT_TRUE(possible.ok()) << name;
-    EXPECT_EQ(WriteCsvString(*possible_oracle), WriteCsvString(*possible))
-        << name;
+    ExpectGolden("CqaPossible", *possible, name);
   }
 }
 
@@ -724,19 +581,21 @@ TEST_P(PortedDeterminismTest, SpeedCleanMatchesOracle) {
   Relation r = SensorSeries(CaseSeed("SpeedCleanMatchesOracle"), 150);
   PliCache cache(r);
   SpeedConstraint sc{-5.0, 5.0};
-  auto detect_oracle = DetectSpeedViolations(r, 0, 1, sc);
-  ASSERT_TRUE(detect_oracle.ok());
-  EXPECT_FALSE(detect_oracle->empty());  // the spikes must register
-  auto repair_oracle = RepairWithSpeedConstraint(r, 0, 1, sc);
-  ASSERT_TRUE(repair_oracle.ok());
+  auto detect_plain = DetectSpeedViolations(r, 0, 1, sc);
+  ASSERT_TRUE(detect_plain.ok());
+  EXPECT_FALSE(detect_plain->empty());  // the spikes must register
+  ExpectGolden("SpeedDetect", *detect_plain, "option-less");
+  auto repair_plain = RepairWithSpeedConstraint(r, 0, 1, sc);
+  ASSERT_TRUE(repair_plain.ok());
+  ExpectGolden("SpeedRepair", *repair_plain, "option-less");
   for (const auto& [name, options] :
        FastConfigs(QualityOptions{}, &pool, &cache)) {
     auto detect = DetectSpeedViolations(r, 0, 1, sc, options);
     ASSERT_TRUE(detect.ok()) << name;
-    EXPECT_EQ(*detect_oracle, *detect) << name;
+    ExpectGolden("SpeedDetect", *detect, name);
     auto repair = RepairWithSpeedConstraint(r, 0, 1, sc, options);
     ASSERT_TRUE(repair.ok()) << name;
-    ExpectSameRepair(*repair_oracle, *repair, "speed " + name);
+    ExpectGolden("SpeedRepair", *repair, name);
   }
 }
 
@@ -756,47 +615,24 @@ TEST(PortedEngineFacadeTest, FacadeMatchesOracles) {
   GeneratedData data = GenerateHotels(config);
   const Relation& r = data.relation;
 
-  CfdDiscoveryOptions cfd_oracle;
-  cfd_oracle.use_encoding = false;
-  auto cfds_serial = DiscoverConstantCfds(r, cfd_oracle);
   auto cfds = engine.ConstantCfds(r);
-  ASSERT_TRUE(cfds_serial.ok());
   ASSERT_TRUE(cfds.ok());
-  ASSERT_EQ(cfds_serial->size(), cfds->size());
+  ExpectGolden("FacadeConstantCfds", *cfds, "engine");
 
-  OdDiscoveryOptions od_oracle;
-  od_oracle.use_encoding = false;
-  auto ods_serial = DiscoverUnaryOds(r, od_oracle);
   auto ods = engine.UnaryOds(r);
-  ASSERT_TRUE(ods_serial.ok());
   ASSERT_TRUE(ods.ok());
-  ASSERT_EQ(ods_serial->size(), ods->size());
-  for (size_t i = 0; i < ods_serial->size(); ++i) {
-    EXPECT_EQ((*ods_serial)[i].od.ToString(), (*ods)[i].od.ToString());
-  }
+  ExpectGolden("FacadeUnaryOds", *ods, "engine");
 
   std::vector<Fd> fds = {Fd(AttrSet::Single(1), AttrSet::Single(2))};
-  auto repair_serial = RepairWithFds(r, fds);
   auto repair = engine.RepairFds(r, fds);
-  ASSERT_TRUE(repair_serial.ok());
   ASSERT_TRUE(repair.ok());
-  EXPECT_EQ(WriteCsvString(repair_serial->repaired),
-            WriteCsvString(repair->repaired));
-  EXPECT_EQ(repair_serial->changes.size(), repair->changes.size());
+  ExpectGolden("FacadeFdRepair", *repair, "engine");
 
-  DdDiscoveryOptions dd_oracle;
-  dd_oracle.use_encoding = false;
-  dd_oracle.max_lhs_attrs = 1;
-  auto dds_serial = DiscoverDds(r, dd_oracle);
   DdDiscoveryOptions dd_base;
   dd_base.max_lhs_attrs = 1;
   auto dds = engine.Dds(r, dd_base);
-  ASSERT_TRUE(dds_serial.ok());
   ASSERT_TRUE(dds.ok());
-  ASSERT_EQ(dds_serial->size(), dds->size());
-  for (size_t i = 0; i < dds_serial->size(); ++i) {
-    EXPECT_EQ((*dds_serial)[i].dd.ToString(), (*dds)[i].dd.ToString());
-  }
+  ExpectGolden("FacadeDds", *dds, "engine");
 }
 
 }  // namespace
