@@ -36,6 +36,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++outstanding_;
+    ++queued_;
     target = next_queue_;
     next_queue_ = (next_queue_ + 1) % queues_.size();
   }
@@ -54,6 +55,7 @@ bool ThreadPool::TryPop(int self, std::function<void()>* task) {
     if (!q.tasks.empty()) {
       *task = std::move(q.tasks.front());
       q.tasks.pop_front();
+      queued_.fetch_sub(1);
       return true;
     }
   }
@@ -65,6 +67,7 @@ bool ThreadPool::TryPop(int self, std::function<void()>* task) {
     if (!q.tasks.empty()) {
       *task = std::move(q.tasks.back());
       q.tasks.pop_back();
+      queued_.fetch_sub(1);
       return true;
     }
   }
@@ -85,9 +88,11 @@ void ThreadPool::WorkerLoop(int self) {
     }
     std::unique_lock<std::mutex> lock(mu_);
     if (shutdown_) return;
-    // Re-check under the lock: a task may have been submitted between the
-    // failed TryPop and acquiring mu_.
-    wake_.wait_for(lock, std::chrono::milliseconds(1));
+    // Submit counts a task under mu_ before notifying, so a task submitted
+    // after the failed TryPop is seen here instead of slept through until
+    // the timeout.
+    wake_.wait_for(lock, std::chrono::milliseconds(1),
+                   [this] { return shutdown_ || queued_.load() > 0; });
   }
 }
 
@@ -112,36 +117,55 @@ Status ThreadPool::ParallelFor(int64_t n,
     /// while the prompt halt is what bounds cancellation latency.
     std::atomic<bool> hard_stop{false};
     std::mutex mu;
+    /// Per-call latch: helpers inside the claim loop, guarded by mu. The
+    /// caller waits for zero, never for unrelated pool work.
+    int in_flight = 0;
+    std::condition_variable done;
     Status status;
   };
   auto shared = std::make_shared<Shared>();
-  auto run = [shared, n, &fn] {
+  auto claim_loop = [n, &fn](Shared& s) {
     for (;;) {
-      if (shared->hard_stop.load(std::memory_order_acquire)) return;
-      int64_t i = shared->next.fetch_add(1, std::memory_order_relaxed);
+      if (s.hard_stop.load(std::memory_order_acquire)) return;
+      int64_t i = s.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      int64_t err = shared->first_error_index.load(std::memory_order_acquire);
+      int64_t err = s.first_error_index.load(std::memory_order_acquire);
       if (err >= 0 && err < i) return;  // already failed earlier in the range
       Status st = fn(i);
       if (!st.ok()) {
         bool stop = RunContext::IsStop(st);
         {
-          std::lock_guard<std::mutex> lock(shared->mu);
-          int64_t cur = shared->first_error_index.load();
+          std::lock_guard<std::mutex> lock(s.mu);
+          int64_t cur = s.first_error_index.load();
           if (cur < 0 || i < cur) {
-            shared->first_error_index.store(i, std::memory_order_release);
-            shared->status = std::move(st);
+            s.first_error_index.store(i, std::memory_order_release);
+            s.status = std::move(st);
           }
         }
-        if (stop) shared->hard_stop.store(true, std::memory_order_release);
+        if (stop) s.hard_stop.store(true, std::memory_order_release);
       }
     }
   };
+  // `fn` lives on the caller's stack, so only a registered helper may call
+  // it. Registration and the caller's final latch read share `mu`: a helper
+  // that registers after the caller returned sees everything the caller saw
+  // — the exhausted cursor, hard_stop or the earlier failure — and leaves
+  // without claiming an index it would run.
   int helpers = std::min<int64_t>(num_threads(), n);
-  for (int t = 0; t < helpers; ++t) Submit(run);
-  run();  // the caller participates instead of blocking idle
-  Wait();
-  std::lock_guard<std::mutex> lock(shared->mu);
+  for (int t = 0; t < helpers; ++t) {
+    Submit([shared, claim_loop] {
+      {
+        std::lock_guard<std::mutex> lock(shared->mu);
+        ++shared->in_flight;
+      }
+      claim_loop(*shared);
+      std::lock_guard<std::mutex> lock(shared->mu);
+      if (--shared->in_flight == 0) shared->done.notify_all();
+    });
+  }
+  claim_loop(*shared);  // the caller participates instead of blocking idle
+  std::unique_lock<std::mutex> lock(shared->mu);
+  shared->done.wait(lock, [&] { return shared->in_flight == 0; });
   return shared->status;
 }
 

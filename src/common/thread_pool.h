@@ -1,6 +1,7 @@
 #ifndef FAMTREE_COMMON_THREAD_POOL_H_
 #define FAMTREE_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -50,6 +51,13 @@ class ThreadPool {
   /// those that ran. Run-control failures (RunContext::IsStop) short-circuit
   /// harder: every worker drops out at its next claim regardless of index,
   /// so a cancelled run drains within one in-flight iteration per worker.
+  ///
+  /// Returns as soon as the range is claimed and this call's in-flight
+  /// iterations have finished — a per-call latch, not the pool-global
+  /// Wait(). A ParallelFor reached from inside a pool task therefore
+  /// completes (the caller runs whatever its helpers do not), and
+  /// concurrent callers never wait on each other's work. Helpers that start
+  /// after the return find the range exhausted and never call `fn`.
   Status ParallelFor(int64_t n, const std::function<Status(int64_t)>& fn);
 
  private:
@@ -69,6 +77,9 @@ class ThreadPool {
   std::condition_variable wake_;   // signalled on Submit and shutdown
   std::condition_variable idle_;   // signalled when outstanding_ hits zero
   int64_t outstanding_ = 0;        // submitted but not finished tasks
+  /// Submitted but not yet popped tasks; raised under mu_, lowered by
+  /// TryPop.
+  std::atomic<int64_t> queued_{0};
   size_t next_queue_ = 0;          // round-robin submission cursor
   bool shutdown_ = false;
 };

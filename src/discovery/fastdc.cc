@@ -6,9 +6,9 @@
 #include <map>
 #include <memory>
 
-#include "common/rng.h"
 #include "common/run_context.h"
 #include "common/thread_pool.h"
+#include "discovery/discovery_util.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
 #include "relation/encoded_relation.h"
@@ -328,12 +328,23 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
     RunContext::MarkExhausted(ctx, stop, 0, 0);
     return std::vector<DiscoveredDc>{};
   };
+  std::unique_ptr<EncodedRelation> local_encoding;
+  FAMTREE_ASSIGN_OR_RETURN(
+      const EncodedRelation* enc,
+      ResolveEncoding(relation, options.cache, &local_encoding));
+  const EncodedRelation& encoded = *enc;
+  bool exact = n <= options.max_rows_exact;
+  // Both evidence paths read the same serial pair stream, so the sample —
+  // and everything mined from it — is identical on either path at any
+  // thread count.
+  PairSample sample{options.seed,
+                    static_cast<int64_t>(options.max_rows_exact) *
+                        options.max_rows_exact};
   // Kernel path: one packed word per unordered pair from the shared
   // comparison engine, decoded into predicate bitsets once per distinct
   // word. The ordered-pair evidence FASTDC mines over is the unordered
   // multiset plus its mirror (order trits swapped), so the cover search
   // sees exactly the multiset the per-predicate path would produce.
-  EncodedRelation encoded(relation);
   if (options.use_evidence && !options.cross_column) {
     std::vector<EvidenceColumn> config;
     bool supported = true;
@@ -355,36 +366,17 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
       EvidenceOptions eopts;
       eopts.pool = options.pool;
       eopts.context = ctx;
-      std::shared_ptr<const EvidenceSet> set;
-      bool exact = n <= options.max_rows_exact;
-      if (exact) {
-        Result<std::shared_ptr<const EvidenceSet>> set_result =
-            GetOrBuildEvidence(options.evidence, encoded, config, eopts);
-        if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-          return exhausted_early(set_result.status());
-        }
-        FAMTREE_ASSIGN_OR_RETURN(set, std::move(set_result));
-      } else {
-        // The sampled pair stream stays on one serial Rng, so the sample —
-        // and everything mined from it — is identical to the fallback
-        // path's at any thread count.
-        Rng rng(options.seed);
-        int64_t samples = static_cast<int64_t>(options.max_rows_exact) *
-                          options.max_rows_exact;
-        std::vector<std::pair<int, int>> sampled;
-        sampled.reserve(samples);
-        for (int64_t s = 0; s < samples; ++s) {
-          int i = static_cast<int>(rng.Uniform(0, n - 1));
-          int j = static_cast<int>(rng.Uniform(0, n - 1));
-          if (i != j) sampled.push_back({i, j});
-        }
-        Result<std::shared_ptr<const EvidenceSet>> set_result =
-            BuildEvidenceForPairs(encoded, config, sampled, eopts);
-        if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-          return exhausted_early(set_result.status());
-        }
-        FAMTREE_ASSIGN_OR_RETURN(set, std::move(set_result));
+      // Exact sets are maintained across appends; sampled ones are keyed by
+      // (seed, draws) as well and dropped on append.
+      Result<std::shared_ptr<const EvidenceSet>> set_result =
+          exact ? GetOrBuildEvidence(options.evidence, encoded, config, eopts)
+                : GetOrBuildEvidence(options.evidence, encoded, config,
+                                     sample, eopts);
+      if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+        return exhausted_early(set_result.status());
       }
+      FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
+                               std::move(set_result));
       std::vector<Evidence> evidence;
       evidence.reserve(set->words().size() * (exact ? 2 : 1));
       for (const EvidenceSet::Word& w : set->words()) {
@@ -402,31 +394,6 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
           exact ? static_cast<int64_t>(n) * std::max(0, n - 1)
                 : set->total_pairs();
       return MineCover(preds, evidence, total_pairs, options);
-    }
-  }
-  // Evidence sets, deduplicated with multiplicities. The ordered pairs are
-  // listed up front (sampling draws stay on one serial Rng stream), then
-  // evaluated in contiguous chunks — in parallel when a pool is given.
-  // Each chunk fills a private map; merging sums counts per evidence
-  // bitset, which is commutative, so the merged multiset (and everything
-  // derived from it) is independent of the chunk count.
-  std::vector<std::pair<int, int>> pairs;
-  if (n <= options.max_rows_exact) {
-    pairs.reserve(static_cast<size_t>(n) * std::max(0, n - 1));
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (i != j) pairs.push_back({i, j});
-      }
-    }
-  } else {
-    Rng rng(options.seed);
-    int64_t samples = static_cast<int64_t>(options.max_rows_exact) *
-                      options.max_rows_exact;
-    pairs.reserve(samples);
-    for (int64_t s = 0; s < samples; ++s) {
-      int i = static_cast<int>(rng.Uniform(0, n - 1));
-      int j = static_cast<int>(rng.Uniform(0, n - 1));
-      if (i != j) pairs.push_back({i, j});
     }
   }
   // Lower the predicate space onto the encoded backend: codes for same-col
@@ -495,30 +462,54 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
     return false;
   };
   using EvidenceMap = std::map<Bits, int64_t, decltype(bits_less)>;
+  // Evidence sets, deduplicated with multiplicities. The ordered pairs —
+  // all of them in row order, or the sample block by block — are
+  // evaluated in contiguous chunks, in parallel when a pool is given. Each
+  // chunk keeps a private map across blocks; merging sums counts per
+  // evidence bitset, which is commutative, so the merged multiset (and
+  // everything derived from it) is independent of the chunk count and the
+  // block boundaries.
   int num_chunks = options.pool == nullptr
                        ? 1
                        : std::max(1, options.pool->num_threads() * 4);
-  num_chunks = std::min<int64_t>(num_chunks,
-                                 std::max<int64_t>(1, pairs.size()));
   std::vector<EvidenceMap> chunk_maps(num_chunks, EvidenceMap(bits_less));
-  Status chunk_status = ParallelFor(options.pool, num_chunks, [&](int64_t c) {
-    FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-    size_t begin = pairs.size() * c / num_chunks;
-    size_t end = pairs.size() * (c + 1) / num_chunks;
-    EvidenceMap& local = chunk_maps[c];
-    for (size_t s = begin; s < end; ++s) {
-      auto [i, j] = pairs[s];
-      Bits bits;
-      for (size_t p = 0; p < preds.size(); ++p) {
-        if (eval_pred(p, i, j)) bits[p] = true;
+  std::vector<std::pair<int, int>> block;
+  int64_t total_pairs = 0;
+  auto fold_block = [&]() {
+    total_pairs += static_cast<int64_t>(block.size());
+    return ParallelFor(options.pool, num_chunks, [&](int64_t c) {
+      FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
+      size_t begin = block.size() * c / num_chunks;
+      size_t end = block.size() * (c + 1) / num_chunks;
+      EvidenceMap& local = chunk_maps[c];
+      for (size_t s = begin; s < end; ++s) {
+        auto [i, j] = block[s];
+        Bits bits;
+        for (size_t p = 0; p < preds.size(); ++p) {
+          if (eval_pred(p, i, j)) bits[p] = true;
+        }
+        ++local[bits];
       }
-      ++local[bits];
+      return Status::OK();
+    });
+  };
+  Status chunk_status = Status::OK();
+  if (exact) {
+    block.reserve(static_cast<size_t>(n) * std::max(0, n - 1));
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        if (i != j) block.push_back({i, j});
+      }
     }
-    return Status::OK();
-  });
+    chunk_status = fold_block();
+  } else {
+    PairSampleStream stream(sample, n);
+    while (chunk_status.ok() && stream.Next(&block)) {
+      chunk_status = fold_block();
+    }
+  }
   if (RunContext::IsStop(chunk_status)) return exhausted_early(chunk_status);
   FAMTREE_RETURN_NOT_OK(chunk_status);
-  int64_t total_pairs = static_cast<int64_t>(pairs.size());
   EvidenceMap emap(bits_less);
   for (EvidenceMap& local : chunk_maps) {
     for (const auto& [bits, count] : local) emap[bits] += count;

@@ -10,6 +10,7 @@
 namespace famtree {
 
 class EvidenceCache;
+class PliCache;
 class RunContext;
 class ThreadPool;
 
@@ -25,7 +26,8 @@ struct FastDcOptions {
   /// same type (joinable columns in FASTDC terms).
   bool cross_column = false;
   /// Evidence sets are built from all ordered pairs when the row count is
-  /// at most this; beyond it, a random sample of pairs is used.
+  /// at most this; beyond it, from max_rows_exact² pairs drawn with `seed`
+  /// (self pairs rejected; see PairSample in engine/evidence.h).
   int max_rows_exact = 2000;
   uint64_t seed = 42;
   /// When set, the evidence set — FASTDC's quadratic hotspot — is built in
@@ -34,6 +36,9 @@ struct FastDcOptions {
   /// commutative addition, so the result is bit-identical to the serial
   /// build for any thread count (tests/engine_determinism_test.cc).
   ThreadPool* pool = nullptr;
+  /// Optional borrowed encoding: when set (it must serve `relation`), both
+  /// evidence paths read its encoding instead of re-encoding the relation.
+  PliCache* cache = nullptr;
   /// Optional run limits (common/run_context.h): the driver check-points
   /// between deterministic units of work and, when a limit fires, returns
   /// the prefix of its results completed so far with RunReport.exhausted
@@ -51,8 +56,9 @@ struct FastDcOptions {
   /// representable as a rank trit).
   bool use_evidence = true;
   /// Optional shared store for kernel-built evidence multisets, keyed by
-  /// relation content + column config; only the exact (all-pairs) build is
-  /// cacheable.
+  /// relation content + column config, plus (seed, draw count) for the
+  /// sampled build. Exact entries are maintained across appends; sampled
+  /// ones depend on the row count and are dropped instead.
   EvidenceCache* evidence = nullptr;
 };
 

@@ -196,7 +196,8 @@ class DiscoveryEngine {
   Result<std::vector<DiscoveredFd>> Fds(const Relation& relation,
                                         int max_lhs_size = 5);
 
-  /// FASTDC with parallel evidence-set construction.
+  /// FASTDC over the relation's cached encoding, with parallel evidence-set
+  /// construction served from the evidence store (exact and sampled).
   Result<std::vector<DiscoveredDc>> FastDc(const Relation& relation,
                                            FastDcOptions options = {});
 

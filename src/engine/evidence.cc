@@ -335,8 +335,8 @@ class EvidenceBuilder {
   static Result<std::shared_ptr<const EvidenceSet>> Build(
       const EncodedRelation& encoded,
       const std::vector<EvidenceColumn>& columns,
-      const std::vector<std::pair<int, int>>* pairs, int delta_from_row,
-      const EvidenceOptions& options) {
+      const std::vector<std::pair<int, int>>* pairs, const PairSample* sample,
+      int delta_from_row, const EvidenceOptions& options) {
     FAMTREE_ASSIGN_OR_RETURN(
         std::unique_ptr<PairComparator> pc,
         PairComparator::Make(encoded, columns, options.pool));
@@ -348,9 +348,14 @@ class EvidenceBuilder {
     for (int c = 0; c < chunks; ++c) accs.emplace_back(pc->num_bits(), tracked);
 
     bool pruned = false;
+    int64_t listed_pairs = 0;
     if (pairs != nullptr) {
       FAMTREE_RETURN_NOT_OK(
           PairListWalk(*pc, *pairs, chunks, options, &accs));
+      listed_pairs = static_cast<int64_t>(pairs->size());
+    } else if (sample != nullptr) {
+      FAMTREE_RETURN_NOT_OK(
+          SampleWalk(*pc, n, *sample, chunks, options, &accs, &listed_pairs));
     } else if (options.prune_all_unequal && PruneEligible(columns)) {
       pruned = true;
       FAMTREE_RETURN_NOT_OK(PrunedWalk(*pc, encoded, columns, delta_from_row,
@@ -374,8 +379,8 @@ class EvidenceBuilder {
     int64_t all_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
     int64_t old_pairs = static_cast<int64_t>(delta_from_row) *
                         (delta_from_row - 1) / 2;
-    set->total_pairs_ = pairs != nullptr
-                            ? static_cast<int64_t>(pairs->size())
+    set->total_pairs_ = pairs != nullptr || sample != nullptr
+                            ? listed_pairs
                             : all_pairs - old_pairs;
     if (pruned) {
       // Pairs disagreeing everywhere were never enumerated: their count is
@@ -528,6 +533,23 @@ class EvidenceBuilder {
     });
   }
 
+  /// The pair-list walk over a PairSample, one block of draws at a time
+  /// through one reused buffer. The draws stay one serial stream and the
+  /// accumulators fold commutatively, so the block boundaries cannot show
+  /// in the merged multiset.
+  static Status SampleWalk(const PairComparator& pc, int n, PairSample sample,
+                           int chunks, const EvidenceOptions& options,
+                           std::vector<Accumulator>* accs, int64_t* pairs) {
+    PairSampleStream stream(sample, n);
+    std::vector<std::pair<int, int>> block;
+    while (stream.Next(&block)) {
+      FAMTREE_RETURN_NOT_OK(RunContext::Poll(options.context));
+      FAMTREE_RETURN_NOT_OK(PairListWalk(pc, block, chunks, options, accs));
+      *pairs += static_cast<int64_t>(block.size());
+    }
+    return Status::OK();
+  }
+
   /// PLI-pruned walk: every pair agreeing on at least one column is
   /// enumerated exactly once — from the cluster of its first (in config
   /// order) agreeing column. Singleton-heavy columns contribute few or no
@@ -619,14 +641,42 @@ class EvidenceBuilder {
 Result<std::shared_ptr<const EvidenceSet>> BuildEvidence(
     const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
     const EvidenceOptions& options) {
-  return EvidenceBuilder::Build(encoded, columns, nullptr, 0, options);
+  return EvidenceBuilder::Build(encoded, columns, nullptr, nullptr, 0,
+                                options);
 }
 
 Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceForPairs(
     const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
     const std::vector<std::pair<int, int>>& pairs,
     const EvidenceOptions& options) {
-  return EvidenceBuilder::Build(encoded, columns, &pairs, 0, options);
+  return EvidenceBuilder::Build(encoded, columns, &pairs, nullptr, 0,
+                                options);
+}
+
+PairSampleStream::PairSampleStream(PairSample sample, int num_rows)
+    : rng_(sample.seed),
+      num_rows_(num_rows),
+      // With fewer than two rows every draw is a self pair.
+      remaining_(num_rows < 2 ? 0 : std::max<int64_t>(0, sample.draws)) {}
+
+bool PairSampleStream::Next(std::vector<std::pair<int, int>>* block) {
+  block->clear();
+  if (remaining_ == 0) return false;
+  int64_t draws = std::min(remaining_, kPairSampleBlockDraws);
+  remaining_ -= draws;
+  for (int64_t s = 0; s < draws; ++s) {
+    int i = static_cast<int>(rng_.Uniform(0, num_rows_ - 1));
+    int j = static_cast<int>(rng_.Uniform(0, num_rows_ - 1));
+    if (i != j) block->push_back({i, j});
+  }
+  return true;
+}
+
+Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceForSample(
+    const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
+    PairSample sample, const EvidenceOptions& options) {
+  return EvidenceBuilder::Build(encoded, columns, nullptr, &sample, 0,
+                                options);
 }
 
 Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceDelta(
@@ -635,7 +685,8 @@ Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceDelta(
   if (old_rows < 0 || old_rows > encoded.num_rows()) {
     return Status::Invalid("evidence delta: old_rows out of range");
   }
-  return EvidenceBuilder::Build(encoded, columns, nullptr, old_rows, options);
+  return EvidenceBuilder::Build(encoded, columns, nullptr, nullptr, old_rows,
+                                options);
 }
 
 Result<std::shared_ptr<const EvidenceSet>> MergeEvidenceSets(

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "engine/pli_cache.h"
@@ -227,13 +228,51 @@ Result<std::shared_ptr<const EvidenceSet>> BuildEvidence(
     const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
     const EvidenceOptions& options);
 
-/// Builds the evidence multiset over an explicit list of ordered pairs
-/// (FASTDC's sampling path). Order facets use the given orientation; no
-/// mirror words are added.
+/// Builds the evidence multiset over an explicit list of ordered pairs.
+/// Order facets use the given orientation; no mirror words are added.
 Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceForPairs(
     const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
     const std::vector<std::pair<int, int>>& pairs,
     const EvidenceOptions& options);
+
+/// A seeded sample of ordered row pairs: `draws` draws of (i, j), each
+/// coordinate uniform over [0, num_rows) from one serial Rng seeded with
+/// `seed`; self pairs (i == j) are drawn but rejected. The stream — and so
+/// every multiset built from it — is a function of (seed, draws, num_rows)
+/// alone, independent of block size and thread count.
+struct PairSample {
+  uint64_t seed = 0;
+  int64_t draws = 0;
+};
+
+/// Draws consumed per block of a PairSampleStream.
+inline constexpr int64_t kPairSampleBlockDraws = int64_t{1} << 16;
+
+/// Reads a PairSample block by block, so a sample of millions of pairs
+/// never sits in memory at once (FASTDC's sampling path: the kernel and the
+/// per-predicate fallback both read it).
+class PairSampleStream {
+ public:
+  PairSampleStream(PairSample sample, int num_rows);
+
+  /// Replaces `*block` with the accepted pairs of the next (up to)
+  /// kPairSampleBlockDraws draws; returns false, leaving `*block` empty,
+  /// once every draw is consumed.
+  bool Next(std::vector<std::pair<int, int>>* block);
+
+ private:
+  Rng rng_;
+  int num_rows_;
+  int64_t remaining_;
+};
+
+/// Builds the evidence multiset over a PairSample, bit-identical to
+/// BuildEvidenceForPairs over the materialized stream: each block of draws
+/// folds through the pair-list walk into the same per-chunk accumulators,
+/// and the run context is polled between blocks. total_pairs counts the accepted (non-self) pairs.
+Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceForSample(
+    const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
+    PairSample sample, const EvidenceOptions& options);
 
 /// Builds the evidence multiset over only the pairs an append created:
 /// {i < j : j >= old_rows} — new-vs-all tiles of the dense walk, or the

@@ -13,8 +13,13 @@ uint64_t EncodingFingerprint(const EncodedRelation& encoded) {
   h = HashCombine(h, static_cast<size_t>(encoded.num_columns()));
   for (int c = 0; c < encoded.num_columns(); ++c) {
     h = HashCombine(h, static_cast<size_t>(encoded.dict_size(c)));
-    // The code arrays determine every equality relationship; dictionaries
-    // are representatives of the same classes, so codes alone suffice.
+    // The code arrays fix every equality relationship, but order facets
+    // and distance metrics read the dictionary values: two relations with
+    // the same codes and reversed values share no `<` evidence.
+    for (uint32_t code = 0; code < static_cast<uint32_t>(encoded.dict_size(c));
+         ++code) {
+      h = HashCombine(h, encoded.Decode(c, code).Hash());
+    }
     for (uint32_t code : encoded.codes(c)) {
       h = HashCombine(h, static_cast<size_t>(code));
     }
@@ -51,6 +56,16 @@ std::string EvidenceCache::KeyForFingerprint(
     }
   }
   return key;
+}
+
+std::string EvidenceCache::KeyForSample(
+    const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
+    PairSample sample) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "#sample:%016llx:%lld",
+                static_cast<unsigned long long>(sample.seed),
+                static_cast<long long>(sample.draws));
+  return KeyFor(encoded, columns) + buf;
 }
 
 std::shared_ptr<const EvidenceSet> EvidenceCache::Lookup(
@@ -177,7 +192,7 @@ Status EvidenceCache::MaintainAppend(const EncodedRelation& encoded,
   // Whatever happened, nothing may stay keyed by the dead fingerprint —
   // a later relation hashing to the same content as the *old* state would
   // otherwise be served sets missing the appended rows' pairs. (It can't:
-  // the fingerprint covers the code matrix. But non-maintainable leftovers
+  // the fingerprint covers every cell. But non-maintainable leftovers
   // would still be unreachable garbage.)
   EraseFingerprint(old_fingerprint);
   return status;
@@ -202,6 +217,22 @@ Result<std::shared_ptr<const EvidenceSet>> GetOrBuildEvidence(
   if (cache != nullptr) {
     return cache->Insert(key, std::move(set), columns, encoded.num_rows());
   }
+  return set;
+}
+
+Result<std::shared_ptr<const EvidenceSet>> GetOrBuildEvidence(
+    EvidenceCache* cache, const EncodedRelation& encoded,
+    const std::vector<EvidenceColumn>& columns, PairSample sample,
+    const EvidenceOptions& options) {
+  std::string key;
+  if (cache != nullptr) {
+    key = EvidenceCache::KeyForSample(encoded, columns, sample);
+    if (auto hit = cache->Lookup(key)) return hit;
+  }
+  FAMTREE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const EvidenceSet> set,
+      BuildEvidenceForSample(encoded, columns, sample, options));
+  if (cache != nullptr) return cache->Insert(key, std::move(set));
   return set;
 }
 

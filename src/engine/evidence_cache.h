@@ -13,16 +13,17 @@
 
 namespace famtree {
 
-/// Content fingerprint of an encoding: hashes the shape, the per-column
-/// dictionary sizes and every code array. Two encodings with the same
-/// fingerprint hold the same code matrix, so any evidence set built from
-/// one is valid for the other — which keys the cache by data, not by
-/// address, and keeps entries correct across re-encodings and distinct
-/// relations with identical content.
+/// Content fingerprint of an encoding: hashes the shape, every dictionary
+/// (the values, in code order) and every code array. Two encodings with the
+/// same fingerprint hold the same values in every cell, so any evidence set
+/// built from one is valid for the other — which keys the cache by data,
+/// not by address, and keeps entries correct across re-encodings and
+/// distinct relations with identical content.
 uint64_t EncodingFingerprint(const EncodedRelation& encoded);
 
 /// A shared, thread-safe, size-bounded LRU store of evidence multisets,
-/// keyed by (relation fingerprint, column set, distance config) — the
+/// keyed by (relation fingerprint, column set, distance config, and for
+/// FASTDC's sampled builds the pair sample's seed and draw count) — the
 /// sibling of PliCache one level up: PliCache memoizes partitions, this
 /// memoizes the pairwise comparison structure every evidence consumer
 /// (FASTDC, DD/MD/NED/MFD, constant-CFD pruning) starts from.
@@ -61,6 +62,13 @@ class EvidenceCache {
   /// MaintainAppend select entries by that prefix.
   static std::string KeyForFingerprint(
       uint64_t fingerprint, const std::vector<EvidenceColumn>& columns);
+
+  /// Key of a sampled build (BuildEvidenceForSample): the all-pairs key
+  /// plus a (seed, draws) suffix. The fingerprint covers num_rows, so the
+  /// key pins the whole pair stream.
+  static std::string KeyForSample(const EncodedRelation& encoded,
+                                  const std::vector<EvidenceColumn>& columns,
+                                  PairSample sample);
 
   std::shared_ptr<const EvidenceSet> Lookup(const std::string& key);
 
@@ -119,11 +127,21 @@ class EvidenceCache {
 
 /// The consumer-facing entry point: serves the evidence set from `cache`
 /// when one is attached (building and inserting on a miss), or builds
-/// directly when `cache` is null. Only all-pairs builds are cacheable;
-/// explicit pair lists (FASTDC sampling) bypass the cache.
+/// directly when `cache` is null. All-pairs builds are stored with their
+/// rebuild recipe, so appends maintain them; explicit pair lists
+/// (BuildEvidenceForPairs) are never cached.
 Result<std::shared_ptr<const EvidenceSet>> GetOrBuildEvidence(
     EvidenceCache* cache, const EncodedRelation& encoded,
     const std::vector<EvidenceColumn>& columns,
+    const EvidenceOptions& options);
+
+/// The sampled twin (FASTDC above max_rows_exact): serves
+/// BuildEvidenceForSample from `cache` under KeyForSample. The entry is
+/// stored without a rebuild recipe — the sample depends on the row count,
+/// so an append or a forget drops it instead of migrating it.
+Result<std::shared_ptr<const EvidenceSet>> GetOrBuildEvidence(
+    EvidenceCache* cache, const EncodedRelation& encoded,
+    const std::vector<EvidenceColumn>& columns, PairSample sample,
     const EvidenceOptions& options);
 
 }  // namespace famtree

@@ -337,6 +337,85 @@ TEST(EvidencePropertyTest, PairListMatchesUnorderedPlusMirror) {
   }
 }
 
+/// The serial pair stream a PairSample stands for, materialized the plain
+/// way: one Rng, `draws` draws of (i, j), self pairs rejected.
+std::vector<std::pair<int, int>> MaterializedSample(PairSample sample,
+                                                    int rows) {
+  std::vector<std::pair<int, int>> pairs;
+  Rng rng(sample.seed);
+  for (int64_t s = 0; s < sample.draws; ++s) {
+    int i = static_cast<int>(rng.Uniform(0, rows - 1));
+    int j = static_cast<int>(rng.Uniform(0, rows - 1));
+    if (i != j) pairs.push_back({i, j});
+  }
+  return pairs;
+}
+
+void ExpectSameWords(const EvidenceSet& got, const EvidenceSet& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.total_pairs(), want.total_pairs()) << what;
+  ASSERT_EQ(got.words().size(), want.words().size()) << what;
+  for (size_t w = 0; w < got.words().size(); ++w) {
+    EXPECT_EQ(got.words()[w].bits, want.words()[w].bits) << what << " @" << w;
+    EXPECT_EQ(got.words()[w].count, want.words()[w].count)
+        << what << " @" << w;
+  }
+}
+
+TEST(EvidencePropertyTest, StreamedSampleMatchesMaterializedPairList) {
+  ThreadPool pool8(8);
+  // Draw counts straddling the block size, and relations small enough that
+  // self pairs are a large share of the draws (all of them at one row).
+  const int64_t kBlock = kPairSampleBlockDraws;
+  const std::vector<int64_t> draw_counts = {0, 1, 7, kBlock - 1, kBlock,
+                                            2 * kBlock + 17};
+  for (int rows : {1, 2, 3, 45}) {
+    Relation r = MakeMixedRandomRelation(500 + rows, rows, 3, 4);
+    EncodedRelation enc(r);
+    std::vector<EvidenceColumn> config(3);
+    for (int c = 0; c < 3; ++c) {
+      config[c].attr = c;
+      config[c].cmp = c == 1 ? EvidenceColumn::Cmp::kEquality
+                             : EvidenceColumn::Cmp::kOrder;
+    }
+    for (int64_t draws : draw_counts) {
+      PairSample sample{77 + static_cast<uint64_t>(draws), draws};
+      std::vector<std::pair<int, int>> pairs = MaterializedSample(sample, rows);
+      std::string what =
+          "rows " + std::to_string(rows) + " draws " + std::to_string(draws);
+      if (rows < 2) EXPECT_TRUE(pairs.empty()) << what;
+      if (rows == 2 && draws > 100) {
+        EXPECT_LT(static_cast<int64_t>(pairs.size()), draws) << what;
+      }
+      auto listed = BuildEvidenceForPairs(enc, config, pairs, {});
+      ASSERT_TRUE(listed.ok()) << what;
+      EXPECT_EQ((*listed)->total_pairs(), static_cast<int64_t>(pairs.size()))
+          << what;
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool8}) {
+        EvidenceOptions opt;
+        opt.pool = pool;
+        auto streamed = BuildEvidenceForSample(enc, config, sample, opt);
+        ASSERT_TRUE(streamed.ok()) << what;
+        ExpectSameWords(**streamed, **listed,
+                        what + (pool != nullptr ? " pooled" : " serial"));
+      }
+      // The stream itself, block by block, is the materialized list.
+      PairSampleStream stream(sample, rows);
+      std::vector<std::pair<int, int>> block, joined;
+      int blocks = 0;
+      while (stream.Next(&block)) {
+        ++blocks;
+        joined.insert(joined.end(), block.begin(), block.end());
+      }
+      EXPECT_TRUE(block.empty()) << what;
+      EXPECT_EQ(joined, pairs) << what;
+      if (rows >= 2) {
+        EXPECT_EQ(blocks, (draws + kBlock - 1) / kBlock) << what;
+      }
+    }
+  }
+}
+
 TEST(EvidencePropertyTest, WideRelationUsesSparsePathCorrectly) {
   // 63 equality facets push the word to 63 bits — far past the dense
   // accumulator — and still must match the oracle.
@@ -411,6 +490,18 @@ TEST(EvidenceCacheTest, KeySensitivity) {
             EvidenceCache::KeyFor(e2, config));
   EXPECT_EQ(EvidenceCache::KeyFor(e1, config),
             EvidenceCache::KeyFor(EncodedRelation(r1), config));
+  // Same codes (all values distinct, first-occurrence order), reversed
+  // values: the order facet differs, so the key must too.
+  RelationBuilder up({"a"}), down({"a"});
+  for (int i = 0; i < 10; ++i) {
+    up.AddRow({Value(i)});
+    down.AddRow({Value(10 - i)});
+  }
+  EncodedRelation e_up(std::move(up.Build()).value());
+  EncodedRelation e_down(std::move(down.Build()).value());
+  ASSERT_EQ(e_up.codes(0), e_down.codes(0));
+  EXPECT_NE(EvidenceCache::KeyFor(e_up, config),
+            EvidenceCache::KeyFor(e_down, config));
   // Distance config is part of the key down to threshold bit patterns.
   std::vector<EvidenceColumn> with_metric = config;
   with_metric[0].metric = GetEditDistanceMetric();
@@ -445,6 +536,38 @@ TEST(EvidenceCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   config[0].attr = 0;
   ASSERT_TRUE(GetOrBuildEvidence(&cache, enc, config, {}).ok());
   EXPECT_EQ(cache.stats().misses, 4);
+}
+
+TEST(EvidenceCacheTest, SampledEntriesAreKeyedBySeedAndDraws) {
+  Relation r = MakeMixedRandomRelation(123, 60, 3, 4);
+  EncodedRelation enc(r);
+  std::vector<EvidenceColumn> config(3);
+  for (int c = 0; c < 3; ++c) config[c].attr = c;
+  PairSample sample{9, 500};
+  const std::string key = EvidenceCache::KeyForSample(enc, config, sample);
+  const std::string all_pairs = EvidenceCache::KeyFor(enc, config);
+  // Same fingerprint prefix (append / forget select by it), distinct from
+  // the all-pairs entry and from any other seed or draw count.
+  EXPECT_EQ(key.compare(0, 16, all_pairs, 0, 16), 0);
+  EXPECT_NE(key, all_pairs);
+  EXPECT_NE(key, EvidenceCache::KeyForSample(enc, config, PairSample{10, 500}));
+  EXPECT_NE(key, EvidenceCache::KeyForSample(enc, config, PairSample{9, 501}));
+
+  EvidenceCache cache;
+  auto first = GetOrBuildEvidence(&cache, enc, config, sample, {});
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(cache.stats().misses, 1);
+  auto second = GetOrBuildEvidence(&cache, enc, config, sample, {});
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(first.value().get(), second.value().get());
+  auto direct = BuildEvidenceForSample(enc, config, sample, {});
+  ASSERT_TRUE(direct.ok());
+  ExpectSameWords(**second, **direct, "cached sample");
+  // The all-pairs build of the same config is a separate entry.
+  auto exact = GetOrBuildEvidence(&cache, enc, config, {});
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(cache.stats().misses, 2);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "common/run_context.h"
+#include "discovery/fastdc.h"
 #include "engine/engine.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
@@ -576,6 +577,126 @@ TEST(IncrementalEngineTest, ForgetRelationDropsEvidenceEntries) {
   // entries — they used to linger keyed by the dead encoding fingerprint.
   engine.ForgetRelation(r);
   EXPECT_EQ(engine.EvidenceStats().bytes, size_t{0});
+}
+
+std::vector<std::pair<std::string, double>> Canon(
+    const std::vector<DiscoveredDc>& dcs) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const DiscoveredDc& d : dcs) {
+    out.push_back({d.dc.ToString(), d.violation_fraction});
+  }
+  return out;
+}
+
+TEST(IncrementalEngineTest, SampledFastDcEvidenceIsDroppedNotMigrated) {
+  for (int threads : {1, 2, 8}) {
+    const std::string what = "threads " + std::to_string(threads);
+    Rng rng(70 + threads);
+    const int cols = 3;
+    // Integer columns: FASTDC's kernel config is then one order facet per
+    // column, which the key check below rebuilds.
+    auto int_rows = [&rng](int rows) {
+      std::vector<std::vector<Value>> out(rows);
+      for (auto& row : out) {
+        for (int c = 0; c < cols; ++c) row.push_back(Value(rng.Uniform(0, 5)));
+      }
+      return out;
+    };
+    auto base_rows = int_rows(40);
+    auto delta = int_rows(5);
+    auto all_rows = base_rows;
+    all_rows.insert(all_rows.end(), delta.begin(), delta.end());
+    Relation r = BuildRelation(base_rows, cols);
+    Relation full = BuildRelation(all_rows, cols);
+    std::vector<EvidenceColumn> config(cols);
+    for (int c = 0; c < cols; ++c) {
+      config[c].attr = c;
+      config[c].cmp = EvidenceColumn::Cmp::kOrder;
+    }
+
+    EngineOptions eopts;
+    eopts.num_threads = threads;
+    DiscoveryEngine engine(eopts);
+    FastDcOptions sampled;
+    sampled.max_predicates = 3;
+    sampled.max_rows_exact = 12;  // 40 rows: the sampled path
+    const PairSample sample{sampled.seed, 12 * 12};
+    FastDcOptions exact = sampled;
+    exact.max_rows_exact = 1000;  // the all-pairs path, maintainable
+
+    ASSERT_TRUE(engine.FastDc(r, sampled).ok()) << what;
+    ASSERT_TRUE(engine.FastDc(r, exact).ok()) << what;
+    EXPECT_EQ(engine.EvidenceStats().builds, 2) << what;
+    const std::string old_key =
+        EvidenceCache::KeyForSample(EncodedRelation(r), config, sample);
+    ASSERT_NE(engine.evidence_cache().Lookup(old_key), nullptr) << what;
+
+    ASSERT_TRUE(engine.AppendRows(r, delta).ok()) << what;
+    // Only the exact entry is carried over (one re-insert); the sampled one
+    // is gone under the old key and was not re-keyed under the new one.
+    EXPECT_EQ(engine.EvidenceStats().builds, 3) << what;
+    EXPECT_EQ(engine.evidence_cache().Lookup(old_key), nullptr) << what;
+    EXPECT_EQ(engine.evidence_cache().Lookup(EvidenceCache::KeyForSample(
+                  EncodedRelation(full), config, sample)),
+              nullptr)
+        << what;
+
+    // The next sampled FastDc rebuilds over the appended relation and
+    // answers exactly like a cold engine.
+    auto warm = engine.FastDc(r, sampled);
+    ASSERT_TRUE(warm.ok()) << what;
+    EXPECT_EQ(engine.EvidenceStats().builds, 4) << what;
+    DiscoveryEngine cold_engine(eopts);
+    auto cold = cold_engine.FastDc(full, sampled);
+    ASSERT_TRUE(cold.ok()) << what;
+    EXPECT_EQ(Canon(*warm), Canon(*cold)) << what;
+    EXPECT_FALSE(Canon(*warm).empty()) << what;
+
+    // Forgetting the relation drops the rebuilt sampled entry too.
+    const std::string new_key =
+        EvidenceCache::KeyForSample(EncodedRelation(full), config, sample);
+    ASSERT_NE(engine.evidence_cache().Lookup(new_key), nullptr) << what;
+    engine.ForgetRelation(r);
+    EXPECT_EQ(engine.evidence_cache().Lookup(new_key), nullptr) << what;
+    EXPECT_EQ(engine.EvidenceStats().bytes, size_t{0}) << what;
+  }
+}
+
+TEST(IncrementalEngineTest, FastDcEvidenceKeysSeeTheValueOrder) {
+  // Two relations with the same code matrix (all values distinct, codes in
+  // first-occurrence order) but opposite value orders in column c1: one
+  // engine must not serve the first one's `<`/`>` evidence to the second.
+  const int rows = 30;
+  std::vector<std::vector<Value>> rising, falling;
+  for (int i = 0; i < rows; ++i) {
+    rising.push_back({Value(i), Value(i)});
+    falling.push_back({Value(i), Value(rows - i)});
+  }
+  Relation a = BuildRelation(rising, 2);
+  Relation b = BuildRelation(falling, 2);
+  for (int threads : {1, 2, 8}) {
+    for (int max_rows_exact : {12, 1000}) {  // sampled, then all-pairs
+      const std::string what = "threads " + std::to_string(threads) +
+                               " max_rows_exact " +
+                               std::to_string(max_rows_exact);
+      EngineOptions eopts;
+      eopts.num_threads = threads;
+      FastDcOptions opts;
+      opts.max_predicates = 3;
+      opts.max_rows_exact = max_rows_exact;
+      DiscoveryEngine engine(eopts);
+      ASSERT_TRUE(engine.FastDc(a, opts).ok()) << what;
+      auto warm = engine.FastDc(b, opts);
+      ASSERT_TRUE(warm.ok()) << what;
+      DiscoveryEngine cold_b(eopts), cold_a(eopts);
+      auto cold = cold_b.FastDc(b, opts);
+      auto other = cold_a.FastDc(a, opts);
+      ASSERT_TRUE(cold.ok() && other.ok()) << what;
+      EXPECT_EQ(Canon(*warm), Canon(*cold)) << what;
+      EXPECT_NE(Canon(*cold), Canon(*other)) << what;  // the test can fail
+      EXPECT_EQ(engine.EvidenceStats().hits, 0) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -376,20 +376,42 @@ TEST_P(PortedDeterminismTest, FastDcEvidenceMatchesOracle) {
     ASSERT_TRUE(fast.ok()) << name;
     ExpectGolden("FastDc", *fast, name);
   }
-  // Sampled builds replay the serial pair stream through the kernel; the
-  // explicit pair list bypasses the cache but must match the oracle too.
+  // Sampled builds stream the serial pair sample through the kernel (or the
+  // per-predicate path); the evidence store keys them by (seed, draws), and
+  // a store hit must match the oracle exactly like the build it replays.
   FastDcOptions sampled = base;
   sampled.max_rows_exact = 30;
   std::vector<std::pair<std::string, FastDcOptions>> sampled_configs;
   sampled_configs.push_back({"sampled", sampled});
+  FastDcOptions sampled_no_kernel = sampled;
+  sampled_no_kernel.use_evidence = false;
+  sampled_no_kernel.pool = &pool;
+  sampled_configs.push_back({"sampled+pool-no-kernel", sampled_no_kernel});
   sampled.pool = &pool;
   sampled.evidence = &evidence;
   sampled_configs.push_back({"kernel+sampled", sampled});
+  PliCache cache(data.relation);
+  FastDcOptions borrowed = sampled;
+  borrowed.evidence = nullptr;
+  borrowed.cache = &cache;
+  sampled_configs.push_back({"kernel+sampled+pli-encoding", borrowed});
   for (const auto& [name, options] : sampled_configs) {
     auto fast = DiscoverDcs(data.relation, options);
     ASSERT_TRUE(fast.ok()) << name;
     ExpectGolden("FastDcSampled", *fast, name);
   }
+  EvidenceCache sample_store;
+  FastDcOptions stored = sampled;
+  stored.evidence = &sample_store;
+  stored.cache = &cache;
+  auto built = DiscoverDcs(data.relation, stored);
+  ASSERT_TRUE(built.ok());
+  ExpectGolden("FastDcSampled", *built, "kernel+sampled+store-build");
+  int64_t hits_before = sample_store.stats().hits;
+  auto hit = DiscoverDcs(data.relation, stored);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(sample_store.stats().hits, hits_before + 1);
+  ExpectGolden("FastDcSampled", *hit, "kernel+sampled+store-hit");
 }
 
 TEST_P(PortedDeterminismTest, SdAndCsdTableauMatchOracle) {
