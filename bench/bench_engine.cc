@@ -32,6 +32,7 @@
 #include "discovery/od_discovery.h"
 #include "discovery/pfd_discovery.h"
 #include "discovery/tane.h"
+#include "engine/evidence.h"
 #include "engine/evidence_cache.h"
 #include "engine/pli_cache.h"
 #include "gen/generators.h"
@@ -55,6 +56,18 @@ bool SameFds(const std::vector<DiscoveredFd>& a,
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].lhs != b[i].lhs || a[i].rhs != b[i].rhs ||
         a[i].error != b[i].error) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameDcs(const std::vector<DiscoveredDc>& a,
+             const std::vector<DiscoveredDc>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].dc.ToString() != b[i].dc.ToString() ||
+        a[i].violation_fraction != b[i].violation_fraction) {
       return false;
     }
   }
@@ -343,8 +356,139 @@ bool BenchDeadline(const std::string& name,
   return true;
 }
 
+/// One layer row of FASTDC's sampled path (above max_rows_exact): the
+/// serial pair draw, the evidence walk over it, and the cover search, as
+/// medians over kSampledReps cold repetitions.
+struct SampledRow {
+  int rows = 0;
+  int threads = 0;
+  double draw_ms = 0;   // PairSampleStream alone: the serial Rng draw
+  double walk_ms = 0;   // BuildEvidenceForSample minus the draw
+  double cover_ms = 0;  // FastDc with the evidence served from the store
+  double total_ms = 0;  // cold FastDc, evidence built
+  bool identical = true;
+};
+
+constexpr int kSampledReps = 5;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+const char* BuildType() {
+#if defined(__OPTIMIZE__) && defined(NDEBUG)
+  return "Release";
+#elif !defined(__OPTIMIZE__)
+  return "Debug";
+#else
+  return "optimized with assertions";
+#endif
+}
+
+/// A FASTDC-shaped table: four integer columns (order facets) and four
+/// string columns (equality facets), cardinalities from 10 to all-distinct.
+Relation MakeSampledTable(int rows) {
+  Rng rng(7);
+  RelationBuilder b({"i10", "i1k", "i50k", "id", "s10", "s100", "s5k", "s50k"});
+  for (int r = 0; r < rows; ++r) {
+    b.AddRow({Value(rng.Uniform(0, 9)), Value(rng.Uniform(0, 999)),
+              Value(rng.Uniform(0, 49999)), Value(int64_t{r}),
+              Value("a" + std::to_string(rng.Uniform(0, 9))),
+              Value("b" + std::to_string(rng.Uniform(0, 99))),
+              Value("c" + std::to_string(rng.Uniform(0, 4999))),
+              Value("d" + std::to_string(rng.Uniform(0, 49999)))});
+  }
+  return std::move(b.Build()).value();
+}
+
+/// The layer rows of FASTDC's sampled evidence rebuild at 50k and 500k
+/// rows, 1 and 4 threads. Returns false on an algorithm error; clears
+/// `*all_identical` when the 4-thread cover differs from the 1-thread one.
+bool BenchSampledFastDc(std::vector<SampledRow>* out, bool* all_identical) {
+  std::printf(
+      "\nfastdc sampled path (2000^2 draws; medians of %d reps; nproc %u; "
+      "%s build)\n",
+      kSampledReps, std::thread::hardware_concurrency(), BuildType());
+  std::printf(
+      "| rows   | threads | draw ms | walk ms | cover ms | total ms | "
+      "result    |\n");
+  std::printf(
+      "|--------|---------|---------|---------|----------|----------|"
+      "-----------|\n");
+  for (int rows : {50000, 500000}) {
+    Relation table = MakeSampledTable(rows);
+    PliCache pli(table);
+    const EncodedRelation& encoded = pli.encoded();
+    std::vector<EvidenceColumn> config(8);
+    for (int c = 0; c < 8; ++c) {
+      config[c].attr = c;
+      config[c].cmp = c < 4 ? EvidenceColumn::Cmp::kOrder
+                            : EvidenceColumn::Cmp::kEquality;
+    }
+    FastDcOptions options;
+    options.max_predicates = 3;
+    options.cache = &pli;
+    const PairSample sample{options.seed, int64_t{options.max_rows_exact} *
+                                              options.max_rows_exact};
+    std::vector<DiscoveredDc> reference;
+    for (int threads : {1, 4}) {
+      ThreadPool pool(threads);
+      SampledRow row{rows, threads};
+      std::vector<double> draw, build, cover, total;
+      for (int rep = 0; rep < kSampledReps; ++rep) {
+        auto start = std::chrono::steady_clock::now();
+        PairSampleStream stream(sample, rows);
+        std::vector<std::pair<int, int>> block;
+        int64_t drawn = 0;
+        while (stream.Next(&block)) drawn += block.size();
+        draw.push_back(MillisSince(start));
+        if (drawn == 0) return false;
+
+        EvidenceOptions eopts;
+        eopts.pool = &pool;
+        start = std::chrono::steady_clock::now();
+        auto set = BuildEvidenceForSample(encoded, config, sample, eopts);
+        build.push_back(MillisSince(start));
+        if (!set.ok()) return false;
+
+        FastDcOptions cold = options;
+        cold.pool = &pool;
+        start = std::chrono::steady_clock::now();
+        auto dcs = DiscoverDcs(table, cold);
+        total.push_back(MillisSince(start));
+        if (!dcs.ok()) return false;
+        if (reference.empty()) reference = *dcs;
+        row.identical = row.identical && SameDcs(reference, *dcs);
+
+        EvidenceCache store;
+        FastDcOptions warm = cold;
+        warm.evidence = &store;
+        if (!DiscoverDcs(table, warm).ok()) return false;
+        start = std::chrono::steady_clock::now();
+        auto hit = DiscoverDcs(table, warm);
+        cover.push_back(MillisSince(start));
+        if (!hit.ok() || store.stats().hits != 1) return false;
+        row.identical = row.identical && SameDcs(reference, *hit);
+      }
+      row.draw_ms = Median(draw);
+      row.walk_ms = Median(build) - row.draw_ms;
+      row.cover_ms = Median(cover);
+      row.total_ms = Median(total);
+      *all_identical = *all_identical && row.identical;
+      std::printf("| %6d | %7d | %7.1f | %7.1f | %8.1f | %8.1f | %-9s |\n",
+                  row.rows, row.threads, row.draw_ms, row.walk_ms,
+                  row.cover_ms, row.total_ms,
+                  row.identical ? "identical" : "MISMATCH");
+      out->push_back(row);
+    }
+  }
+  return true;
+}
+
 void WriteJson(const std::vector<Row>& rows,
                const std::vector<PairwiseRow>& pairwise,
+               const std::vector<SampledRow>& sampled,
                const std::vector<DeadlineRow>& deadlines,
                const std::vector<HybridFdRow>& hybrid_fd,
                const std::vector<HybridMdRow>& hybrid_md, int num_rows,
@@ -380,6 +524,21 @@ void WriteJson(const std::vector<Row>& rows,
                  i + 1 < pairwise.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"fastdc_sampled\": {\"nproc\": %u, \"build_type\": "
+               "\"%s\", \"reps\": %d, \"rows\": [\n",
+               std::thread::hardware_concurrency(), BuildType(), kSampledReps);
+  for (size_t i = 0; i < sampled.size(); ++i) {
+    const SampledRow& r = sampled[i];
+    std::fprintf(f,
+                 "    {\"rows\": %d, \"threads\": %d, \"draw_ms\": %.3f, "
+                 "\"walk_ms\": %.3f, \"cover_ms\": %.3f, \"total_ms\": "
+                 "%.3f, \"identical\": %s}%s\n",
+                 r.rows, r.threads, r.draw_ms, r.walk_ms, r.cover_ms,
+                 r.total_ms, r.identical ? "true" : "false",
+                 i + 1 < sampled.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]},\n");
   std::fprintf(f, "  \"deadline_sweep\": [\n");
   for (size_t i = 0; i < deadlines.size(); ++i) {
     const DeadlineRow& r = deadlines[i];
@@ -554,21 +713,10 @@ int Run() {
   Relation dc_slice = hotels.Select(slice300);
   FastDcOptions dc_options;
   dc_options.max_predicates = 3;
-  auto same_dcs = [](const std::vector<DiscoveredDc>& a,
-                     const std::vector<DiscoveredDc>& b) {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].dc.ToString() != b[i].dc.ToString() ||
-          a[i].violation_fraction != b[i].violation_fraction) {
-        return false;
-      }
-    }
-    return true;
-  };
   if (!BenchPorted(
           "fastdc 300-row slice", dc_slice, dc_options,
           [&](const FastDcOptions& o) { return DiscoverDcs(dc_slice, o); },
-          same_dcs, &rows, &all_identical)) {
+          SameDcs, &rows, &all_identical)) {
     return 2;
   }
 
@@ -840,7 +988,7 @@ int Run() {
   if (!BenchPairwise(
           "fastdc 300-row slice", dc_options,
           [&](const FastDcOptions& o) { return DiscoverDcs(dc_slice, o); },
-          same_dcs, &evidence, &pairwise, &all_identical)) {
+          SameDcs, &evidence, &pairwise, &all_identical)) {
     return 2;
   }
   if (!BenchPairwise(
@@ -955,6 +1103,9 @@ int Run() {
       static_cast<long long>(evidence_stats.misses),
       static_cast<long long>(evidence_stats.evictions),
       static_cast<long long>(evidence_stats.builds), evidence_stats.bytes);
+
+  std::vector<SampledRow> sampled;
+  if (!BenchSampledFastDc(&sampled, &all_identical)) return 2;
 
   // ------------------------------------------------- anytime deadline sweep
   // Each algorithm reruns at 8 threads under deadlines of 25/50/100% of
@@ -1257,7 +1408,7 @@ int Run() {
       tane_cache_stats.bytes);
   std::printf("speedups are hardware dependent; byte-identity is the hard "
               "check\n");
-  WriteJson(rows, pairwise, deadlines, hybrid_fd_rows, hybrid_md_rows,
+  WriteJson(rows, pairwise, sampled, deadlines, hybrid_fd_rows, hybrid_md_rows,
             hotels.num_rows(), hotels.num_columns(), tane_cache_stats,
             evidence_stats);
   std::printf("wrote BENCH_engine.json\n");

@@ -6,6 +6,48 @@
 
 namespace famtree {
 
+namespace {
+
+constexpr int kShift = 156;  // the recurrence's middle offset m
+constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;  // the top w - r bits
+constexpr uint64_t kLowerMask = ~kUpperMask;
+
+/// One twist step: the upper bits of `hi` joined to the lower bits of
+/// `lo`, shifted, and xored with A when the joined word is odd.
+inline uint64_t TwistWord(uint64_t far, uint64_t hi, uint64_t lo) {
+  uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+  return far ^ (y >> 1) ^ (kMatrixA & (0 - (y & 1)));
+}
+
+}  // namespace
+
+Mt19937_64::Mt19937_64(uint64_t seed) {
+  state_[0] = seed;
+  for (int i = 1; i < kStateWords; ++i) {
+    uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) +
+                static_cast<uint64_t>(i);
+  }
+}
+
+void Mt19937_64::Twist() {
+  // Two runs plus the wrap-around word. Neither run reads a word it wrote
+  // itself (reads are kShift words away or one word ahead), so each is a
+  // straight, vectorizable loop.
+  int k = 0;
+  for (; k < kStateWords - kShift; ++k) {
+    state_[k] = TwistWord(state_[k + kShift], state_[k], state_[k + 1]);
+  }
+  for (; k < kStateWords - 1; ++k) {
+    state_[k] =
+        TwistWord(state_[k + kShift - kStateWords], state_[k], state_[k + 1]);
+  }
+  state_[kStateWords - 1] =
+      TwistWord(state_[kShift - 1], state_[kStateWords - 1], state_[0]);
+  pos_ = 0;
+}
+
 int64_t Rng::Zipf(int64_t n, double theta) {
   if (n <= 1) return 0;
   // Inverse-CDF sampling over the (unnormalized) harmonic weights. For the

@@ -16,6 +16,9 @@ namespace {
 /// L2-sized while covering every paper-scale configuration.
 constexpr int kDenseBits = 16;
 
+/// How many pairs ahead the keyed pair walk prefetches key records.
+constexpr int64_t kPrefetchPairs = 16;
+
 /// Parallel chunks. More chunks than workers is fine — each chunk's
 /// accumulator merges commutatively, so the chunk count only bounds
 /// parallelism, never changes the result.
@@ -46,6 +49,32 @@ uint8_t BucketFromDistance(double d, const std::vector<double>& thresholds) {
   }
   return j;
 }
+
+/// Bytes charged for one build's scratch (the key table), refunded when the
+/// build returns: the scratch is freed then, so it must not stay accrued
+/// against a budget that bounds what the run keeps.
+class ScopedScratchCharge {
+ public:
+  explicit ScopedScratchCharge(RunContext* ctx) : ctx_(ctx) {}
+  ScopedScratchCharge(const ScopedScratchCharge&) = delete;
+  ScopedScratchCharge& operator=(const ScopedScratchCharge&) = delete;
+
+  Status Charge(size_t bytes, const char* site) {
+    FAMTREE_RETURN_NOT_OK(RunContext::ChargeAlloc(ctx_, bytes, site));
+    charged_ += bytes;
+    return Status::OK();
+  }
+
+  ~ScopedScratchCharge() {
+    if (ctx_ != nullptr && ctx_->memory_budget() != nullptr) {
+      ctx_->memory_budget()->Release(charged_);
+    }
+  }
+
+ private:
+  RunContext* ctx_;
+  size_t charged_ = 0;
+};
 
 /// One chunk's evidence accumulator. All folds (count sum, max, flag or)
 /// are commutative, so any pair-to-chunk assignment yields the same merged
@@ -159,6 +188,7 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
   }
   std::unique_ptr<PairComparator> pc(new PairComparator());
   pc->num_bits_ = bits;
+  pc->num_rows_ = encoded.num_rows();
   int shift = 0;
   for (const EvidenceColumn& spec : columns) {
     if (spec.attr < 0 || spec.attr >= encoded.num_columns()) {
@@ -180,11 +210,18 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
       // constant bit.
       col.const_unequal = encoded.num_rows() > 1 &&
                           encoded.dict_size(spec.attr) == encoded.num_rows();
-      if (col.const_unequal) pc->base_word_ |= uint64_t{1} << col.cmp_shift;
+      if (col.const_unequal) {
+        pc->base_word_ |= uint64_t{1} << col.cmp_shift;
+      } else {
+        pc->eq_keys_.push_back({static_cast<int>(pc->cols_.size()),
+                                col.cmp_shift});
+      }
     } else if (spec.cmp == EvidenceColumn::Cmp::kOrder) {
       col.cmp_shift = lay.cmp_shift = shift;
       shift += 2;
       col.ranks = RanksUnderValueOrder(encoded, spec.attr);
+      pc->order_keys_.push_back({static_cast<int>(pc->cols_.size()),
+                                 col.cmp_shift});
     }
     bool bucketed = spec.metric != nullptr && !spec.thresholds.empty();
     if (spec.track_max) {
@@ -207,6 +244,9 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
             encoded, spec.attr, spec.metric, spec.thresholds, pool);
         col.bucket = col.owned_bucket.get();
       }
+    }
+    if (col.dist != nullptr || col.bucket != nullptr) {
+      pc->distance_cols_.push_back(static_cast<int>(pc->cols_.size()));
     }
     if (bucketed) {
       col.bucket_shift = lay.bucket_shift = shift;
@@ -239,20 +279,60 @@ uint64_t PairComparator::Word(int i, int j, double* tracked_dists) const {
       case EvidenceColumn::Cmp::kNone:
         break;
     }
-    if (c.dist != nullptr) {
-      double d = c.dist->Distance(ca, cb);
-      if (!c.thresholds.empty()) {
-        w |= static_cast<uint64_t>(BucketFromDistance(d, c.thresholds))
-             << c.bucket_shift;
-      }
-      if (c.track_slot >= 0 && tracked_dists != nullptr) {
-        tracked_dists[c.track_slot] = d;
-      }
-    } else if (c.bucket != nullptr) {
-      w |= static_cast<uint64_t>(c.bucket->Bucket(ca, cb)) << c.bucket_shift;
-    }
+  }
+  for (int c : distance_cols_) {
+    w |= DistanceBits(cols_[c], i, j, tracked_dists);
   }
   return w;
+}
+
+uint64_t PairComparator::DistanceBits(const Col& c, int i, int j,
+                                      double* tracked_dists) {
+  uint32_t ca = c.codes[i], cb = c.codes[j];
+  if (c.dist == nullptr) {
+    return static_cast<uint64_t>(c.bucket->Bucket(ca, cb)) << c.bucket_shift;
+  }
+  double d = c.dist->Distance(ca, cb);
+  if (c.track_slot >= 0 && tracked_dists != nullptr) {
+    tracked_dists[c.track_slot] = d;
+  }
+  if (c.thresholds.empty()) return 0;
+  return static_cast<uint64_t>(BucketFromDistance(d, c.thresholds))
+         << c.bucket_shift;
+}
+
+Status PairComparator::PackKeys(ThreadPool* pool,
+                                std::vector<uint32_t>* keys) const {
+  const int width = key_width();
+  keys->resize(static_cast<size_t>(num_rows_) * width);
+  if (width == 0) return Status::OK();
+  uint32_t* out = keys->data();
+  const int64_t kRowsPerTask = 1 << 14;
+  const int64_t tasks = (num_rows_ + kRowsPerTask - 1) / kRowsPerTask;
+  // Each task fills a disjoint row range; the table is a pure function of
+  // the encoding, so the split cannot show.
+  return ParallelFor(pool, tasks, [&](int64_t t) {
+    const int r0 = static_cast<int>(t * kRowsPerTask);
+    const int r1 = static_cast<int>(
+        std::min<int64_t>(num_rows_, (t + 1) * kRowsPerTask));
+    int k = 0;
+    for (const KeyFacet& f : eq_keys_) {
+      const uint32_t* codes = cols_[f.col].codes;
+      for (int r = r0; r < r1; ++r) {
+        out[static_cast<size_t>(r) * width + k] = codes[r];
+      }
+      ++k;
+    }
+    for (const KeyFacet& f : order_keys_) {
+      const uint32_t* codes = cols_[f.col].codes;
+      const uint32_t* ranks = cols_[f.col].ranks.data();
+      for (int r = r0; r < r1; ++r) {
+        out[static_cast<size_t>(r) * width + k] = ranks[codes[r]];
+      }
+      ++k;
+    }
+    return Status::OK();
+  });
 }
 
 uint64_t EvidenceSet::MirrorOf(uint64_t word) const {
@@ -349,13 +429,24 @@ class EvidenceBuilder {
 
     bool pruned = false;
     int64_t listed_pairs = 0;
+    // The pair-list and sample walks visit random pairs: they read the
+    // comparison facets from a row-major key table, charged before it is
+    // filled and refunded when the build returns.
+    std::vector<uint32_t> keys;
+    ScopedScratchCharge key_charge(options.context);
+    if (pairs != nullptr || sample != nullptr) {
+      FAMTREE_RETURN_NOT_OK(key_charge.Charge(
+          static_cast<size_t>(n) * pc->key_width() * sizeof(uint32_t),
+          "evidence_keys"));
+      FAMTREE_RETURN_NOT_OK(pc->PackKeys(options.pool, &keys));
+    }
     if (pairs != nullptr) {
       FAMTREE_RETURN_NOT_OK(
-          PairListWalk(*pc, *pairs, chunks, options, &accs));
+          PairListWalk(*pc, keys.data(), *pairs, chunks, options, &accs));
       listed_pairs = static_cast<int64_t>(pairs->size());
     } else if (sample != nullptr) {
-      FAMTREE_RETURN_NOT_OK(
-          SampleWalk(*pc, n, *sample, chunks, options, &accs, &listed_pairs));
+      FAMTREE_RETURN_NOT_OK(SampleWalk(*pc, keys.data(), n, *sample, chunks,
+                                       options, &accs, &listed_pairs));
     } else if (options.prune_all_unequal && PruneEligible(columns)) {
       pruned = true;
       FAMTREE_RETURN_NOT_OK(PrunedWalk(*pc, encoded, columns, delta_from_row,
@@ -512,12 +603,15 @@ class EvidenceBuilder {
     });
   }
 
-  static Status PairListWalk(const PairComparator& pc,
+  /// Folds an explicit pair list, reading comparison facets from the key
+  /// table `keys` (PairComparator::PackKeys).
+  static Status PairListWalk(const PairComparator& pc, const uint32_t* keys,
                              const std::vector<std::pair<int, int>>& pairs,
                              int chunks, const EvidenceOptions& options,
                              std::vector<Accumulator>* accs) {
     int64_t total = static_cast<int64_t>(pairs.size());
     int64_t block = (total + chunks - 1) / chunks;
+    const size_t width = static_cast<size_t>(pc.key_width());
     return ParallelFor(options.pool, chunks, [&](int64_t chunk) {
       Accumulator& acc = (*accs)[chunk];
       std::vector<double> td(std::max(1, pc.num_tracked()));
@@ -526,7 +620,15 @@ class EvidenceBuilder {
         if ((p & 1023) == 0) {
           FAMTREE_RETURN_NOT_OK(RunContext::Poll(options.context));
         }
-        acc.Add(pc.Word(pairs[p].first, pairs[p].second, td.data()),
+        // Random pairs miss the cache on both records; fetching a few pairs
+        // ahead overlaps those misses (2x at 500k rows).
+        if (p + kPrefetchPairs < end) {
+          __builtin_prefetch(keys + pairs[p + kPrefetchPairs].first * width);
+          __builtin_prefetch(keys + pairs[p + kPrefetchPairs].second * width);
+        }
+        auto [i, j] = pairs[p];
+        acc.Add(pc.KeyedWord(keys + i * width, keys + j * width, i, j,
+                             td.data()),
                 td.data());
       }
       return Status::OK();
@@ -537,14 +639,16 @@ class EvidenceBuilder {
   /// through one reused buffer. The draws stay one serial stream and the
   /// accumulators fold commutatively, so the block boundaries cannot show
   /// in the merged multiset.
-  static Status SampleWalk(const PairComparator& pc, int n, PairSample sample,
-                           int chunks, const EvidenceOptions& options,
+  static Status SampleWalk(const PairComparator& pc, const uint32_t* keys,
+                           int n, PairSample sample, int chunks,
+                           const EvidenceOptions& options,
                            std::vector<Accumulator>* accs, int64_t* pairs) {
     PairSampleStream stream(sample, n);
     std::vector<std::pair<int, int>> block;
     while (stream.Next(&block)) {
       FAMTREE_RETURN_NOT_OK(RunContext::Poll(options.context));
-      FAMTREE_RETURN_NOT_OK(PairListWalk(pc, block, chunks, options, accs));
+      FAMTREE_RETURN_NOT_OK(
+          PairListWalk(pc, keys, block, chunks, options, accs));
       *pairs += static_cast<int64_t>(block.size());
     }
     return Status::OK();
@@ -660,15 +764,24 @@ PairSampleStream::PairSampleStream(PairSample sample, int num_rows)
       remaining_(num_rows < 2 ? 0 : std::max<int64_t>(0, sample.draws)) {}
 
 bool PairSampleStream::Next(std::vector<std::pair<int, int>>* block) {
-  block->clear();
-  if (remaining_ == 0) return false;
+  if (remaining_ == 0) {
+    block->clear();
+    return false;
+  }
   int64_t draws = std::min(remaining_, kPairSampleBlockDraws);
   remaining_ -= draws;
+  // Draw straight into the reused buffer: every draw is written, and the
+  // cursor advances only past accepted pairs.
+  block->resize(static_cast<size_t>(draws));
+  std::pair<int, int>* out = block->data();
+  size_t kept = 0;
   for (int64_t s = 0; s < draws; ++s) {
     int i = static_cast<int>(rng_.Uniform(0, num_rows_ - 1));
     int j = static_cast<int>(rng_.Uniform(0, num_rows_ - 1));
-    if (i != j) block->push_back({i, j});
+    out[kept] = {i, j};
+    kept += i != j;
   }
+  block->resize(kept);
   return true;
 }
 

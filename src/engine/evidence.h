@@ -57,9 +57,11 @@ int EvidenceWordBits(const std::vector<EvidenceColumn>& columns);
 struct EvidenceOptions {
   ThreadPool* pool = nullptr;
   /// Optional run limits: the walks poll per tile / work item, the final
-  /// multiset charges its footprint at the "evidence_set" site, and each
-  /// tile strip probes the "evidence_tile" fault site. A stopped build
-  /// returns the latched stop Status — never a partial multiset.
+  /// multiset charges its footprint at the "evidence_set" site, the
+  /// pair-list and sample walks charge their key table at "evidence_keys"
+  /// before filling it (refunded when the build returns), and each tile
+  /// strip probes the "evidence_tile" fault site. A stopped build returns
+  /// the latched stop Status — never a partial multiset.
   RunContext* context = nullptr;
   /// Cluster source for the pruned enumeration; single-attribute leaves are
   /// pinned in the PLI store, so borrowing them is free. When null the
@@ -179,6 +181,14 @@ class EvidenceSet {
 /// consumers that need pair identities (dedup's union-find) rather than the
 /// aggregated multiset. Borrows the encoding and any tables it compiles;
 /// keep both alive while using it.
+///
+/// Two ways to evaluate a pair. Word reads each column's code array at both
+/// rows (two scattered reads per column) — right for walks whose pairs are
+/// local (the dense tiles, the pruned clusters) and for callers that must
+/// not copy the encoding (dedup, the out-of-core hybrid sampler). KeyedWord
+/// reads the comparison facets from a row-major key table (PackKeys): one
+/// record per row, so a random pair costs two contiguous reads; the
+/// pair-list and sample walks, whose pairs are random, use it.
 class PairComparator {
  public:
   static Result<std::unique_ptr<PairComparator>> Make(
@@ -188,6 +198,38 @@ class PairComparator {
   /// The comparison word of the ordered pair (i, j); `tracked_dists`, when
   /// non-null, receives num_tracked() distances indexed by track slot.
   uint64_t Word(int i, int j, double* tracked_dists = nullptr) const;
+
+  /// uint32 keys per row of the key table: one per comparison facet that
+  /// varies (all-distinct equality columns are constant and have none).
+  int key_width() const {
+    return static_cast<int>(eq_keys_.size() + order_keys_.size());
+  }
+
+  /// Fills `keys` (resized to num_rows x key_width, row-major) with each
+  /// row's record: the codes of its equality facets, then the Value-order
+  /// ranks of its order facets. Equal keys mean equal values and key order
+  /// is Value order, so KeyedWord over two records equals Word.
+  Status PackKeys(ThreadPool* pool, std::vector<uint32_t>* keys) const;
+
+  /// Word(i, j, tracked_dists), with the comparison facets read from the
+  /// two rows' key records `ki` and `kj`; distance facets still read codes.
+  uint64_t KeyedWord(const uint32_t* ki, const uint32_t* kj, int i, int j,
+                     double* tracked_dists) const {
+    uint64_t w = base_word_;
+    const size_t ne = eq_keys_.size();
+    for (size_t f = 0; f < ne; ++f) {
+      w |= static_cast<uint64_t>(ki[f] != kj[f]) << eq_keys_[f].shift;
+    }
+    for (size_t f = 0; f < order_keys_.size(); ++f) {
+      uint32_t a = ki[ne + f], b = kj[ne + f];
+      w |= static_cast<uint64_t>((a < b) | ((a > b) << 1))
+           << order_keys_[f].shift;
+    }
+    for (int c : distance_cols_) {
+      w |= DistanceBits(cols_[c], i, j, tracked_dists);
+    }
+    return w;
+  }
 
   int num_bits() const { return num_bits_; }
   int num_tracked() const { return num_tracked_; }
@@ -213,13 +255,29 @@ class PairComparator {
     int track_slot = -1;
   };
 
+  /// One comparison facet of the key table: the column it packs and the
+  /// word position of its bits.
+  struct KeyFacet {
+    int col = 0;
+    int shift = 0;
+  };
+
   PairComparator() = default;
+
+  /// The bucket bits of column `c`'s distance facet for (i, j), storing the
+  /// tracked distance when the column has a track slot.
+  static uint64_t DistanceBits(const Col& c, int i, int j,
+                               double* tracked_dists);
 
   std::vector<Col> cols_;
   std::vector<EvidenceSet::ColumnLayout> layout_;
+  std::vector<KeyFacet> eq_keys_;     // key record: equality codes first,
+  std::vector<KeyFacet> order_keys_;  // then order ranks
+  std::vector<int> distance_cols_;    // columns with a distance facet
   uint64_t base_word_ = 0;  // constant facet bits
   int num_bits_ = 0;
   int num_tracked_ = 0;
+  int num_rows_ = 0;
 };
 
 /// Builds the evidence multiset over all unordered row pairs of `encoded`,
@@ -229,7 +287,9 @@ Result<std::shared_ptr<const EvidenceSet>> BuildEvidence(
     const EvidenceOptions& options);
 
 /// Builds the evidence multiset over an explicit list of ordered pairs.
-/// Order facets use the given orientation; no mirror words are added.
+/// Order facets use the given orientation; no mirror words are added. The
+/// walk reads a key table (PairComparator::PackKeys) of
+/// num_rows x key_width uint32, charged at "evidence_keys".
 Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceForPairs(
     const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
     const std::vector<std::pair<int, int>>& pairs,
@@ -268,8 +328,10 @@ class PairSampleStream {
 
 /// Builds the evidence multiset over a PairSample, bit-identical to
 /// BuildEvidenceForPairs over the materialized stream: each block of draws
-/// folds through the pair-list walk into the same per-chunk accumulators,
-/// and the run context is polled between blocks. total_pairs counts the accepted (non-self) pairs.
+/// folds through the keyed pair-list walk (one key table for the whole
+/// sample) into the same per-chunk accumulators, and the run context is
+/// polled between blocks. total_pairs counts the accepted (non-self)
+/// pairs.
 Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceForSample(
     const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
     PairSample sample, const EvidenceOptions& options);

@@ -84,14 +84,22 @@ std::shared_ptr<const EvidenceSet> EvidenceCache::Lookup(
 std::shared_ptr<const EvidenceSet> EvidenceCache::Insert(
     const std::string& key, std::shared_ptr<const EvidenceSet> set,
     std::vector<EvidenceColumn> config, int num_rows) {
+  return Store(key, std::move(set), std::move(config), num_rows,
+               /*built=*/true);
+}
+
+std::shared_ptr<const EvidenceSet> EvidenceCache::Store(
+    const std::string& key, std::shared_ptr<const EvidenceSet> set,
+    std::vector<EvidenceColumn> config, int num_rows, bool built) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.builds;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    // A racing build got here first; its (bit-identical) set wins.
+    // A racing build got here first; its (bit-identical) set wins, and the
+    // loser's build is not counted.
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return it->second.set;
   }
+  if (built) ++stats_.builds;
   Entry entry;
   entry.set = std::move(set);
   entry.bytes = entry.set->footprint_bytes();
@@ -120,7 +128,6 @@ std::unordered_map<std::string, EvidenceCache::Entry>::iterator
 EvidenceCache::EraseLocked(
     std::unordered_map<std::string, Entry>::iterator it) {
   stats_.bytes -= it->second.bytes;
-  ++stats_.evictions;
   lru_.erase(it->second.lru_pos);
   return entries_.erase(it);
 }
@@ -184,9 +191,11 @@ Status EvidenceCache::MaintainAppend(const EncodedRelation& encoded,
       status = merged.status();
       break;
     }
-    Insert(FingerprintPrefix(new_fingerprint) + w.suffix,
-           std::move(merged).value(), std::move(w.config),
-           encoded.num_rows());
+    // A migration, not a build: the multiset was carried over at
+    // new-pairs cost.
+    Store(FingerprintPrefix(new_fingerprint) + w.suffix,
+          std::move(merged).value(), std::move(w.config), encoded.num_rows(),
+          /*built=*/false);
   }
 
   // Whatever happened, nothing may stay keyed by the dead fingerprint —

@@ -41,7 +41,10 @@ class EvidenceCache {
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
+    /// Entries dropped for LRU pressure (not forget or append erasures).
     int64_t evictions = 0;
+    /// Multisets built from scratch and stored (not append migrations, not
+    /// a racing thread's losing insert).
     int64_t builds = 0;
     size_t bytes = 0;
   };
@@ -72,7 +75,8 @@ class EvidenceCache {
 
   std::shared_ptr<const EvidenceSet> Lookup(const std::string& key);
 
-  /// Inserts under the lock, evicting LRU entries over budget. Returns the
+  /// Inserts a multiset built from scratch under the lock (counted in
+  /// stats().builds), evicting LRU entries over budget. Returns the
   /// winning entry (an earlier racing insert keeps priority). `config`,
   /// when non-empty, records the column set the entry was built from
   /// (borrowed table pointers sanitized to null) and makes the entry
@@ -113,8 +117,14 @@ class EvidenceCache {
     bool maintainable = false;
   };
 
-  /// Erases one entry by iterator, adjusting stats; returns the next
-  /// iterator. Caller holds mu_.
+  /// Insert, counting a build only when `built` and the entry is new.
+  std::shared_ptr<const EvidenceSet> Store(
+      const std::string& key, std::shared_ptr<const EvidenceSet> set,
+      std::vector<EvidenceColumn> config, int num_rows, bool built);
+
+  /// Erases one entry by iterator (a forget or append erasure, not an
+  /// eviction), adjusting bytes; returns the next iterator. Caller holds
+  /// mu_.
   std::unordered_map<std::string, Entry>::iterator EraseLocked(
       std::unordered_map<std::string, Entry>::iterator it);
 

@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/run_context.h"
 #include "common/thread_pool.h"
+#include "discovery/fastdc.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
 #include "engine/pli_cache.h"
@@ -414,6 +416,217 @@ TEST(EvidencePropertyTest, StreamedSampleMatchesMaterializedPairList) {
       }
     }
   }
+}
+
+/// A relation exercising every facet kind the key table touches or
+/// bypasses: an int order column, a string equality column, an
+/// all-distinct id column (a constant equality facet, no key), a numeric
+/// column with AbsDiff buckets only, an order column with a tracked AbsDiff
+/// maximum, and a string column with tracked, bucketed edit distances. The
+/// numeric columns hold nulls and strings too, so some distances are not
+/// finite.
+Relation MakeKernelRelation(uint64_t seed, int rows) {
+  Rng rng(seed);
+  RelationBuilder b({"ord", "eq", "id", "bucket", "ord_max", "text"});
+  for (int r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    row.push_back(Value(rng.Uniform(0, 6)));
+    row.push_back(Value("e" + std::to_string(rng.Uniform(0, 3))));
+    row.push_back(Value(int64_t{r}));
+    row.push_back(RandomCell(&rng, 9));
+    row.push_back(RandomCell(&rng, 5));
+    row.push_back(Value("t" + std::to_string(rng.Uniform(0, 40))));
+    b.AddRow(std::move(row));
+  }
+  return std::move(b.Build()).value();
+}
+
+std::vector<EvidenceColumn> KernelConfig() {
+  std::vector<EvidenceColumn> config(6);
+  for (int c = 0; c < 6; ++c) config[c].attr = c;
+  config[0].cmp = EvidenceColumn::Cmp::kOrder;
+  config[1].cmp = EvidenceColumn::Cmp::kEquality;
+  config[2].cmp = EvidenceColumn::Cmp::kEquality;
+  config[3].cmp = EvidenceColumn::Cmp::kNone;
+  config[3].metric = GetAbsDiffMetric();
+  config[3].thresholds = {0.5, 2.0, 4.0};
+  config[4].cmp = EvidenceColumn::Cmp::kOrder;
+  config[4].metric = GetAbsDiffMetric();
+  config[4].track_max = true;
+  config[5].cmp = EvidenceColumn::Cmp::kEquality;
+  config[5].metric = GetEditDistanceMetric();
+  config[5].thresholds = {1.0};
+  config[5].track_max = true;
+  return config;
+}
+
+/// The reference the keyed walks must reproduce: PairComparator::Word —
+/// which reads every facet from the column code arrays — folded serially
+/// over the same ordered pairs.
+std::map<uint64_t, OracleEntry> ColumnWordFold(
+    const EncodedRelation& enc, const std::vector<EvidenceColumn>& config,
+    const std::vector<std::pair<int, int>>& pairs) {
+  auto pc = PairComparator::Make(enc, config, nullptr);
+  EXPECT_TRUE(pc.ok());
+  const int tracked = (*pc)->num_tracked();
+  std::vector<double> td(std::max(1, tracked));
+  std::map<uint64_t, OracleEntry> out;
+  for (auto [i, j] : pairs) {
+    OracleEntry& e = out[(*pc)->Word(i, j, td.data())];
+    if (e.aggs.empty()) e.aggs.resize(tracked);
+    ++e.count;
+    for (int t = 0; t < tracked; ++t) {
+      e.aggs[t].max_all = std::max(e.aggs[t].max_all, td[t]);
+      if (std::isfinite(td[t])) {
+        e.aggs[t].max_finite = std::max(e.aggs[t].max_finite, td[t]);
+      } else {
+        e.aggs[t].saw_nonfinite = true;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(EvidenceKernelTest, KeyedWalksMatchTheColumnWordFold) {
+  const int rows = 240;
+  Relation r = MakeKernelRelation(91, rows);
+  EncodedRelation enc(r);
+  std::vector<EvidenceColumn> config = KernelConfig();
+  ASSERT_EQ(enc.dict_size(2), rows);  // the id column is all-distinct
+  auto pc = PairComparator::Make(enc, config, nullptr);
+  ASSERT_TRUE(pc.ok());
+  // Keys for ord, eq, ord_max and text; none for the id or bucket columns.
+  EXPECT_EQ((*pc)->key_width(), 4);
+
+  // An explicit list with repeats and self pairs, and a sample spanning
+  // several draw blocks.
+  Rng rng(5);
+  std::vector<std::pair<int, int>> listed;
+  for (int p = 0; p < 20000; ++p) {
+    listed.push_back({static_cast<int>(rng.Uniform(0, rows - 1)),
+                      static_cast<int>(rng.Uniform(0, rows - 1))});
+  }
+  const PairSample sample{17, 3 * kPairSampleBlockDraws + 5};
+  const auto listed_ref = ColumnWordFold(enc, config, listed);
+  const auto sample_ref =
+      ColumnWordFold(enc, config, MaterializedSample(sample, rows));
+
+  ThreadPool pool1(1), pool2(2), pool8(8);
+  for (ThreadPool* pool :
+       {static_cast<ThreadPool*>(nullptr), &pool1, &pool2, &pool8}) {
+    const std::string what =
+        pool == nullptr ? "serial"
+                        : std::to_string(pool->num_threads()) + " threads";
+    EvidenceOptions opt;
+    opt.pool = pool;
+    auto from_list = BuildEvidenceForPairs(enc, config, listed, opt);
+    ASSERT_TRUE(from_list.ok()) << what;
+    EXPECT_EQ((*from_list)->total_pairs(),
+              static_cast<int64_t>(listed.size()));
+    ExpectMatchesOracle(**from_list, listed_ref, "pair list " + what);
+    auto from_sample = BuildEvidenceForSample(enc, config, sample, opt);
+    ASSERT_TRUE(from_sample.ok()) << what;
+    ExpectMatchesOracle(**from_sample, sample_ref, "sample " + what);
+  }
+}
+
+TEST(EvidenceKernelTest, KeyTableChargeStopsTheSampledFastDcWhole) {
+  // Eight integer columns: FASTDC's kernel config is one order facet each,
+  // so the key table holds 8 uint32 keys per row.
+  const int rows = 400, cols = 8;
+  Rng rng(3);
+  std::vector<std::string> names;
+  for (int c = 0; c < cols; ++c) names.push_back("c" + std::to_string(c));
+  RelationBuilder b(names);
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Value> row;
+    for (int c = 0; c < cols; ++c) row.push_back(Value(rng.Uniform(0, 9)));
+    b.AddRow(std::move(row));
+  }
+  Relation r = std::move(b.Build()).value();
+  EncodedRelation enc(r);
+  std::vector<EvidenceColumn> config(cols);
+  for (int c = 0; c < cols; ++c) {
+    config[c].attr = c;
+    config[c].cmp = EvidenceColumn::Cmp::kOrder;
+  }
+  const size_t key_bytes = size_t{rows} * cols * sizeof(uint32_t);
+  FastDcOptions options;
+  options.max_predicates = 3;
+  options.max_rows_exact = 50;  // 400 rows: the sampled path
+  const PairSample sample{options.seed, 50 * 50};
+  const std::string key = EvidenceCache::KeyForSample(enc, config, sample);
+
+  for (int threads : {1, 2, 8}) {
+    const std::string what = std::to_string(threads) + " threads";
+    ThreadPool pool(threads);
+    EvidenceCache cache;
+    MemoryBudget budget(key_bytes - 1);
+    RunContext ctx;
+    ctx.set_memory_budget(&budget);
+    FastDcOptions limited = options;
+    limited.pool = &pool;
+    limited.evidence = &cache;
+    limited.context = &ctx;
+    auto dcs = DiscoverDcs(r, limited);
+    ASSERT_TRUE(dcs.ok()) << what;
+    EXPECT_TRUE(dcs->empty()) << what << ": a partial cover was returned";
+    EXPECT_TRUE(ctx.report().exhausted) << what;
+    EXPECT_EQ(RunContext::StopStatus(&ctx).code(),
+              StatusCode::kResourceExhausted)
+        << what;
+    EXPECT_NE(ctx.report().stop_detail.find("evidence_keys"),
+              std::string::npos)
+        << what << ": " << ctx.report().stop_detail;
+    EXPECT_EQ(cache.Lookup(key), nullptr) << what;
+    EXPECT_EQ(cache.stats().builds, 0) << what;
+    EXPECT_EQ(cache.stats().bytes, size_t{0}) << what;
+
+    // The evidence entry point itself hands back the stop, not a set.
+    RunContext direct_ctx;
+    MemoryBudget direct_budget(key_bytes - 1);
+    direct_ctx.set_memory_budget(&direct_budget);
+    EvidenceOptions eopts;
+    eopts.pool = &pool;
+    eopts.context = &direct_ctx;
+    auto set = GetOrBuildEvidence(&cache, enc, config, sample, eopts);
+    ASSERT_FALSE(set.ok()) << what;
+    EXPECT_EQ(set.status().code(), StatusCode::kResourceExhausted) << what;
+    EXPECT_EQ(cache.stats().bytes, size_t{0}) << what;
+
+    // With room for the table, the build succeeds and the table's bytes are
+    // refunded once it is freed: only the multiset stays charged.
+    RunContext ok_ctx;
+    MemoryBudget ok_budget(key_bytes + (size_t{1} << 20));
+    ok_ctx.set_memory_budget(&ok_budget);
+    eopts.context = &ok_ctx;
+    auto built = BuildEvidenceForSample(enc, config, sample, eopts);
+    ASSERT_TRUE(built.ok()) << what;
+    EXPECT_EQ(ok_budget.used(), (*built)->footprint_bytes()) << what;
+  }
+}
+
+TEST(EvidenceCacheTest, CountsOnlyScratchBuildsAndPressureEvictions) {
+  Relation r = MakeMixedRandomRelation(21, 40, 3, 4);
+  EncodedRelation enc(r);
+  std::vector<EvidenceColumn> config(2);
+  config[0].attr = 0;
+  config[1].attr = 1;
+  EvidenceCache cache;
+  auto set = BuildEvidence(enc, config, {});
+  ASSERT_TRUE(set.ok());
+  const std::string key = EvidenceCache::KeyFor(enc, config);
+  auto first = cache.Insert(key, *set, config, enc.num_rows());
+  // A racing thread's losing insert is not a second build.
+  auto again = BuildEvidence(enc, config, {});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(cache.Insert(key, *again, config, enc.num_rows()).get(),
+            first.get());
+  EXPECT_EQ(cache.stats().builds, 1);
+  // Forgetting the relation is not an eviction.
+  cache.EraseFingerprint(EncodingFingerprint(enc));
+  EXPECT_EQ(cache.stats().evictions, 0);
+  EXPECT_EQ(cache.stats().bytes, size_t{0});
 }
 
 TEST(EvidencePropertyTest, WideRelationUsesSparsePathCorrectly) {
