@@ -32,6 +32,7 @@
 #include "discovery/od_discovery.h"
 #include "discovery/pfd_discovery.h"
 #include "discovery/tane.h"
+#include "engine/engine.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
 #include "engine/pli_cache.h"
@@ -486,9 +487,108 @@ bool BenchSampledFastDc(std::vector<SampledRow>* out, bool* all_identical) {
   return true;
 }
 
+/// One call of the tane_lattice layer row: its time and what it cost the
+/// engine's PLI store.
+struct LatticeCall {
+  double ms = 0;
+  double builds = 0;
+  double hits = 0;
+  double evictions = 0;
+};
+
+/// The tane_lattice row at one thread count: exact TANE, then AFD
+/// (g3 <= 1%) on the same engine, each call's fields the medians over
+/// kSampledReps cold engines.
+struct LatticeRow {
+  int threads = 0;
+  LatticeCall tane;
+  LatticeCall afd;
+  bool identical = true;
+};
+
+LatticeCall MedianCall(const std::vector<LatticeCall>& reps) {
+  auto median = [&](double LatticeCall::*field) {
+    std::vector<double> v;
+    for (const LatticeCall& c : reps) v.push_back(c.*field);
+    return Median(v);
+  };
+  return LatticeCall{median(&LatticeCall::ms), median(&LatticeCall::builds),
+                     median(&LatticeCall::hits),
+                     median(&LatticeCall::evictions)};
+}
+
+/// The tane_lattice layer rows at 1 and 4 threads over the 500k-row
+/// sampled table. Returns false on an algorithm error; clears
+/// `*all_identical` when a run's FDs differ from the first 1-thread run.
+bool BenchTaneLattice(std::vector<LatticeRow>* out, bool* all_identical) {
+  constexpr int kRows = 500000;
+  std::printf(
+      "\ntane lattice, exact then g3<=0.01 on one engine (%d rows, lhs<=3; "
+      "medians of %d reps; nproc %u; %s build)\n",
+      kRows, kSampledReps, std::thread::hardware_concurrency(), BuildType());
+  std::printf(
+      "| call | threads | ms      | pli builds | pli hits | evictions | "
+      "result    |\n");
+  std::printf(
+      "|------|---------|---------|------------|----------|-----------|"
+      "-----------|\n");
+  Relation table = MakeSampledTable(kRows);
+  TaneOptions exact;
+  exact.max_lhs_size = 3;
+  TaneOptions afd = exact;
+  afd.max_error = 0.01;
+  std::vector<DiscoveredFd> ref_exact, ref_afd;
+  for (int threads : {1, 4}) {
+    LatticeRow row;
+    row.threads = threads;
+    std::vector<LatticeCall> tane_reps, afd_reps;
+    for (int rep = 0; rep < kSampledReps; ++rep) {
+      EngineOptions engine_options;
+      engine_options.num_threads = threads;
+      DiscoveryEngine engine(engine_options);
+      if (!engine.CacheFor(table).ok()) return false;  // encode, untimed
+      auto call = [&](const TaneOptions& options,
+                      std::vector<LatticeCall>* reps)
+          -> Result<std::vector<DiscoveredFd>> {
+        PliCache::Stats before = engine.CacheStats();
+        auto start = std::chrono::steady_clock::now();
+        auto fds = engine.Tane(table, options);
+        double ms = MillisSince(start);
+        PliCache::Stats after = engine.CacheStats();
+        reps->push_back(LatticeCall{
+            ms, static_cast<double>(after.builds - before.builds),
+            static_cast<double>(after.hits - before.hits),
+            static_cast<double>(after.evictions - before.evictions)});
+        return fds;
+      };
+      auto fds = call(exact, &tane_reps);
+      auto afds = call(afd, &afd_reps);
+      if (!fds.ok() || !afds.ok()) return false;
+      if (ref_exact.empty()) {
+        ref_exact = *fds;
+        ref_afd = *afds;
+      }
+      row.identical = row.identical && SameFds(ref_exact, *fds) &&
+                      SameFds(ref_afd, *afds);
+    }
+    row.tane = MedianCall(tane_reps);
+    row.afd = MedianCall(afd_reps);
+    *all_identical = *all_identical && row.identical;
+    for (auto [name, c] : {std::pair{"tane", row.tane},
+                           std::pair{"afd", row.afd}}) {
+      std::printf("| %-4s | %7d | %7.1f | %10.0f | %8.0f | %9.0f | %-9s |\n",
+                  name, threads, c.ms, c.builds, c.hits, c.evictions,
+                  row.identical ? "identical" : "MISMATCH");
+    }
+    out->push_back(row);
+  }
+  return true;
+}
+
 void WriteJson(const std::vector<Row>& rows,
                const std::vector<PairwiseRow>& pairwise,
                const std::vector<SampledRow>& sampled,
+               const std::vector<LatticeRow>& lattice,
                const std::vector<DeadlineRow>& deadlines,
                const std::vector<HybridFdRow>& hybrid_fd,
                const std::vector<HybridMdRow>& hybrid_md, int num_rows,
@@ -537,6 +637,25 @@ void WriteJson(const std::vector<Row>& rows,
                  r.rows, r.threads, r.draw_ms, r.walk_ms, r.cover_ms,
                  r.total_ms, r.identical ? "true" : "false",
                  i + 1 < sampled.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]},\n");
+  std::fprintf(f,
+               "  \"tane_lattice\": {\"nproc\": %u, \"build_type\": "
+               "\"%s\", \"reps\": %d, \"rows\": [\n",
+               std::thread::hardware_concurrency(), BuildType(), kSampledReps);
+  for (size_t i = 0; i < lattice.size(); ++i) {
+    const LatticeRow& r = lattice[i];
+    std::fprintf(f, "    {\"threads\": %d", r.threads);
+    for (auto [name, c] :
+         {std::pair{"tane", r.tane}, std::pair{"afd", r.afd}}) {
+      std::fprintf(f,
+                   ", \"%s\": {\"ms\": %.3f, \"pli_builds\": %.0f, "
+                   "\"pli_hits\": %.0f, \"pli_evictions\": %.0f}",
+                   name, c.ms, c.builds, c.hits, c.evictions);
+    }
+    std::fprintf(f, ", \"identical\": %s}%s\n",
+                 r.identical ? "true" : "false",
+                 i + 1 < lattice.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
   std::fprintf(f, "  \"deadline_sweep\": [\n");
@@ -1106,6 +1225,8 @@ int Run() {
 
   std::vector<SampledRow> sampled;
   if (!BenchSampledFastDc(&sampled, &all_identical)) return 2;
+  std::vector<LatticeRow> lattice;
+  if (!BenchTaneLattice(&lattice, &all_identical)) return 2;
 
   // ------------------------------------------------- anytime deadline sweep
   // Each algorithm reruns at 8 threads under deadlines of 25/50/100% of
@@ -1408,9 +1529,9 @@ int Run() {
       tane_cache_stats.bytes);
   std::printf("speedups are hardware dependent; byte-identity is the hard "
               "check\n");
-  WriteJson(rows, pairwise, sampled, deadlines, hybrid_fd_rows, hybrid_md_rows,
-            hotels.num_rows(), hotels.num_columns(), tane_cache_stats,
-            evidence_stats);
+  WriteJson(rows, pairwise, sampled, lattice, deadlines, hybrid_fd_rows,
+            hybrid_md_rows, hotels.num_rows(), hotels.num_columns(),
+            tane_cache_stats, evidence_stats);
   std::printf("wrote BENCH_engine.json\n");
   if (!all_identical) {
     std::printf("FAIL: a run deviated from the serial result\n");

@@ -19,10 +19,10 @@ struct PfdDiscoveryOptions {
   /// LHS size cap for the lattice walk.
   int max_lhs_size = 3;
   int max_results = 100000;
-  /// Optional engine hooks: when `pool` is set, each lattice level's
-  /// candidate probabilities are computed in parallel and the minimality /
-  /// threshold filters replayed serially in candidate order (bit-identical
-  /// at any thread count); `cache` lends its encoding.
+  /// Optional engine hooks: when `pool` is set, the probabilities of each
+  /// lattice level's minimal candidates are computed in parallel and the
+  /// threshold filter applied in candidate order (bit-identical at any
+  /// thread count); `cache` lends its encoding.
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
   /// Optional run limits (common/run_context.h): the driver check-points

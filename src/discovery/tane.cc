@@ -202,12 +202,17 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
           auto prev = prev_plis.find(test.lhs);
           if (prev == prev_plis.end()) return Status::OK();  // lhs pruned
           test.tested = true;
-          if (exact) {
-            const Pli& node_pli = nodes[test.node_index]->pli;
-            test.error = PartitionCost(*prev->second) ==
-                                 PartitionCost(*node_pli)
-                             ? 0.0
-                             : 1.0;
+          const Pli& node_pli = nodes[test.node_index]->pli;
+          // e(X \ A) - e(X) sums k - 1 over the X \ A classes that A splits
+          // into k groups; g3 removes at least k - 1 rows from each, so it
+          // bounds the removal count from below. Division by num_rows is
+          // monotone, so a bound above max_error rules the FD out without
+          // the g3 scan (and exact discovery needs nothing more).
+          int cost_gap =
+              PartitionCost(*prev->second) - PartitionCost(*node_pli);
+          if (exact || static_cast<double>(cost_gap) / num_rows >
+                           options.max_error) {
+            test.error = cost_gap == 0 ? 0.0 : 1.0;
           } else {
             test.error =
                 prev->second->FdError(*encoded, AttrSet::Single(test.rhs));
@@ -345,7 +350,14 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTane(PliCache* cache,
   if (opts.max_error > 0.0 && !cache->has_encoded()) {
     FAMTREE_RETURN_NOT_OK(cache->EnsureEncoded(opts.context));
   }
-  return DiscoverFdsTaneImpl(cache->relation_or_null(), opts);
+  Result<std::vector<DiscoveredFd>> out =
+      DiscoverFdsTaneImpl(cache->relation_or_null(), opts);
+  // The walk held its levels' partitions, so the cache let them exceed its
+  // budget. An out-of-core caller bounds memory: trim now rather than at
+  // the next insert. In memory they stay for the next walk over the
+  // relation (AFD after exact TANE reuses most of them).
+  if (cache->sharded_or_null() != nullptr) cache->Trim();
+  return out;
 }
 
 Result<std::vector<DiscoveredFd>> DiscoverFdsNaive(const Relation& relation,

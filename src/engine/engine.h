@@ -39,7 +39,9 @@ namespace famtree {
 struct EngineOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency.
   int num_threads = 0;
-  /// Per-relation PLI cache budget (see PliCache::Options::max_bytes).
+  /// Per-relation PLI cache budget on the partitions only the cache keeps
+  /// alive; partitions a running driver holds are neither counted nor
+  /// evicted (see PliCache::Options::max_bytes).
   size_t cache_max_bytes = 64ull << 20;
   /// Budget of the engine-wide evidence store (see
   /// EvidenceCache::Options::max_bytes). The store is content-addressed

@@ -169,22 +169,44 @@ std::shared_ptr<const StrippedPartition> PliCache::Insert(
   entry.pli = std::move(pli);
   stats_.bytes += entry.bytes;
   if (!entry.pinned) {
+    // The new entry joins the LRU list only after the trim: it is never a
+    // victim of its own insert.
+    EvictUnheldLocked();
     lru_.push_front(attrs);
     entry.lru_pos = lru_.begin();
-    // Evict least-recently-used unpinned partitions beyond the budget, but
-    // never the entry just inserted.
-    while (stats_.bytes > options_.max_bytes && lru_.size() > 1) {
-      AttrSet victim = lru_.back();
-      lru_.pop_back();
-      auto vit = entries_.find(victim);
-      stats_.bytes -= vit->second.bytes;
-      entries_.erase(vit);
-      ++stats_.evictions;
-    }
   }
   auto result = entry.pli;
   entries_.emplace(attrs, std::move(entry));
   return result;
+}
+
+void PliCache::Trim() {
+  std::lock_guard<std::mutex> lock(mu_);
+  EvictUnheldLocked();
+}
+
+void PliCache::EvictUnheldLocked() {
+  // An entry a caller still holds (a lattice level, a product's half in
+  // flight) is neither counted nor evicted: dropping it frees nothing and
+  // forces a duplicate rebuild on the next Get. use_count() is only a hint
+  // under concurrent Gets, which is safe because the product recipe is
+  // deterministic.
+  size_t unheld = 0;
+  for (const auto& [key, e] : entries_) {
+    if (!e.pinned && e.pli.use_count() == 1) unheld += e.bytes;
+  }
+  for (auto it = lru_.end();
+       unheld > options_.max_bytes && it != lru_.begin();) {
+    --it;
+    auto vit = entries_.find(*it);
+    if (vit->second.pli.use_count() != 1) continue;
+    // Saturating: a caller may have let go of this entry after the sum.
+    unheld -= std::min(unheld, vit->second.bytes);
+    stats_.bytes -= vit->second.bytes;
+    entries_.erase(vit);
+    it = lru_.erase(it);
+    ++stats_.evictions;
+  }
 }
 
 Status PliCache::MaintainAppend(RunContext* ctx, MaintainStats* stats) {

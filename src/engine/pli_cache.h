@@ -23,13 +23,21 @@ namespace famtree {
 /// partitions from scratch; the cache computes each one once and serves it
 /// to all of them (the Desbordante-style PLI-centric architecture).
 ///
-/// Partitions are memoized with size-bounded LRU eviction. Single-attribute
-/// partitions are pinned: they are the leaves every product chain starts
-/// from, are small, and evicting them would only force an immediate
-/// rebuild. Multi-attribute partitions are computed by splitting off the
-/// lowest attribute and taking the TANE partition product of the two cached
-/// halves — a deterministic recipe, so a partition's class content never
-/// depends on which algorithm (or thread) asked first.
+/// Partitions are memoized with residency-aware LRU eviction. Only the
+/// entries the cache alone keeps alive (no caller holds the shared_ptr)
+/// count against Options::max_bytes, and only those can be evicted: a
+/// partition a caller still holds — a lattice level, the half of a product
+/// in flight — stays resident anyway, so dropping it would free nothing and
+/// only force a duplicate rebuild on the next Get. A lattice walk therefore
+/// builds each of its partitions once; when it lets them go, the next
+/// insert (or Trim) brings the unheld entries back under the cap.
+/// Single-attribute partitions are pinned: they are the leaves every
+/// product chain starts from, are small, and evicting them would only force
+/// an immediate rebuild. Multi-attribute partitions are computed by
+/// splitting off the lowest attribute and taking the TANE partition product
+/// of the two cached halves — a deterministic recipe, so a partition's
+/// class content never depends on which algorithm (or thread) asked first,
+/// nor on what the cache happened to hold.
 ///
 /// Two backends serve the single-attribute leaves:
 ///  - In-memory (the Relation constructors): a counting sort over the
@@ -40,22 +48,26 @@ namespace famtree {
 ///    "pli_build" charge spills resident shards instead of failing.
 ///
 /// Thread safety: Get may be called concurrently. Partitions are returned
-/// as shared_ptr<const ...> so an evicted entry stays alive for callers
-/// still holding it. A miss is computed outside the cache lock; two threads
-/// racing on the same key both compute the same value and the first insert
-/// wins, so results are identical either way (the differential tests assert
-/// exactly this across thread counts).
+/// as shared_ptr<const ...> so an entry dropped from the map (evicted after
+/// a racing release, or invalidated by MaintainAppend) stays alive for
+/// callers still holding it. A miss is computed outside the cache lock; two
+/// threads racing on the same key both compute the same value and the first
+/// insert wins, so results are identical either way (the differential tests
+/// assert exactly this across thread counts).
 class PliCache {
  public:
   struct Options {
-    /// Eviction threshold on the approximate footprint of unpinned
-    /// partitions. The default comfortably holds the lattice levels of the
-    /// paper-scale workloads; bench_engine prints the live footprint.
+    /// Eviction threshold on the approximate footprint of the unpinned
+    /// partitions that only the cache holds. Partitions a caller still
+    /// holds are not counted and never evicted, so the resident footprint
+    /// (Stats::bytes) can exceed this while a walk holds its levels; the
+    /// cap bounds what the cache keeps alive on its own between walks.
     size_t max_bytes = 64ull << 20;
   };
 
   /// Counters exposed through bench_engine. `bytes` is the approximate
-  /// footprint of currently cached partitions (pinned included).
+  /// footprint of all currently cached partitions (pinned and caller-held
+  /// included).
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
@@ -94,6 +106,13 @@ class PliCache {
   /// RunContext::StopStatus.
   std::shared_ptr<const StrippedPartition> Get(AttrSet attrs,
                                                RunContext* ctx = nullptr);
+
+  /// Evicts least-recently-used unpinned partitions that no caller holds
+  /// until those fit Options::max_bytes. Inserts do this on their own; the
+  /// out-of-core TANE entry calls it when its walk lets go of the
+  /// partitions it held, so they do not stay resident until the next
+  /// insert.
+  void Trim();
 
   Stats stats() const;
 
@@ -177,10 +196,14 @@ class PliCache {
   std::shared_ptr<const StrippedPartition> Compute(AttrSet attrs,
                                                    RunContext* ctx);
 
-  /// Inserts under the lock, evicting LRU unpinned entries over budget.
+  /// Inserts under the lock, evicting LRU unpinned entries that no caller
+  /// holds while those exceed the budget.
   /// Returns the winning entry (an earlier racing insert keeps priority).
   std::shared_ptr<const StrippedPartition> Insert(
       AttrSet attrs, std::shared_ptr<const StrippedPartition> pli);
+
+  /// The eviction behind Insert and Trim; requires mu_.
+  void EvictUnheldLocked();
 
   const Relation* relation_ = nullptr;
   const ShardedEncodedRelation* sharded_ = nullptr;

@@ -7,7 +7,8 @@
 //   - completeness and minimality, on small random relations (<= 6
 //     columns): the emitted set equals the set a brute-force subset
 //     enumeration over the same semantics produces — TANE, FastFDs and the
-//     hybrid engine against DiscoverFdsNaive, constant and general CFDs,
+//     hybrid engine against DiscoverFdsNaive, approximate TANE against its
+//     g3 enumeration (errors included), constant and general CFDs,
 //     MVDs, PFDs and unary ODs.
 //
 // Seeds derive from CaseSeed("<TestCaseName>/<i>"), the convention of
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -178,6 +180,58 @@ TEST_P(BruteForceCheckerTest, FdMinersMatchNaiveEnumeration) {
       ExpectSoundMinimalFds(r, *hybrid, what + "hybrid");
       EXPECT_EQ(want, SortedFdKeys(*hybrid)) << what << "hybrid";
     }
+  }
+}
+
+/// Order-free view of an AFD list with each g3 error spelled out exactly.
+std::vector<std::string> SortedAfdKeys(const std::vector<DiscoveredFd>& fds) {
+  std::vector<std::string> keys;
+  for (const DiscoveredFd& fd : fds) {
+    char error[32];
+    std::snprintf(error, sizeof(error), "%a", fd.error);
+    keys.push_back(fd.lhs.ToString() + "->" + std::to_string(fd.rhs) +
+                   " g3=" + error);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Approximate TANE against the naive g3 enumeration, as sets of
+// (lhs, rhs, error). The lattice prunes C+ and skips every g3 scan whose
+// partition-cost bound already exceeds max_error; neither may lose or add
+// an AFD. The engine run evicts every product no caller holds.
+TEST_P(BruteForceCheckerTest, ApproximateTaneMatchesNaiveEnumeration) {
+  constexpr int kRelations = 40;
+  ThreadPool pool(GetParam());
+  EngineOptions engine_options;
+  engine_options.num_threads = GetParam();
+  engine_options.cache_max_bytes = 1;
+  DiscoveryEngine engine(engine_options);
+  for (int i = 0; i < kRelations; ++i) {
+    Relation r = RandomRelation(
+        RelationSeed("ApproximateTaneMatchesNaiveEnumeration", i), 60,
+        /*cols=*/5, /*noise=*/0.05 + 0.1 * (i % 3));
+    for (double max_error : {0.02, 0.05, 0.1, 0.2, 0.35}) {
+      std::string what = "relation " + std::to_string(i) + " max_error " +
+                         std::to_string(max_error) + ": ";
+      TaneOptions options;
+      options.max_error = max_error;
+      options.max_lhs_size = 3;
+      auto naive = DiscoverFdsNaive(r, options);
+      ASSERT_TRUE(naive.ok());
+      std::vector<std::string> want = SortedAfdKeys(*naive);
+
+      TaneOptions free_options = options;
+      free_options.pool = &pool;
+      auto free_run = DiscoverFdsTane(r, free_options);
+      ASSERT_TRUE(free_run.ok());
+      EXPECT_EQ(want, SortedAfdKeys(*free_run)) << what << "free";
+
+      auto engine_run = engine.Tane(r, options);
+      ASSERT_TRUE(engine_run.ok());
+      EXPECT_EQ(want, SortedAfdKeys(*engine_run)) << what << "engine";
+    }
+    engine.ForgetRelation(r);
   }
 }
 

@@ -135,6 +135,97 @@ TEST(PliCacheTest, PinnedSinglesSurviveEvictionPressure) {
   EXPECT_EQ(cache.stats().hits, hits_before + 5);
 }
 
+TEST(PliCacheTest, HeldEntrySurvivesInsertFlood) {
+  Relation r = MakeRandomRelation(37, 120, 6, 3);
+  PliCache::Options options;
+  options.max_bytes = 1;
+  PliCache cache(r, options);
+  auto held = cache.Get(AttrSet::Of({0, 1}));
+  ASSERT_NE(held, nullptr);
+  // Flood the cache with every other pair and triple: each insert evicts
+  // what no caller holds, which is everything unpinned but `held`.
+  for (int a = 0; a < 6; ++a) {
+    for (int b = a + 1; b < 6; ++b) {
+      if (AttrSet::Of({a, b}) != AttrSet::Of({0, 1})) {
+        cache.Get(AttrSet::Of({a, b}));
+      }
+      for (int c = b + 1; c < 6; ++c) cache.Get(AttrSet::Of({a, b, c}));
+    }
+  }
+  PliCache::Stats flooded = cache.stats();
+  EXPECT_GT(flooded.evictions, 0) << "budget did not force eviction";
+  // The held partition is still the cached one: a hit on the same object,
+  // no rebuild.
+  auto again = cache.Get(AttrSet::Of({0, 1}));
+  EXPECT_EQ(again.get(), held.get());
+  EXPECT_EQ(cache.stats().builds, flooded.builds);
+  EXPECT_EQ(cache.stats().hits, flooded.hits + 1);
+}
+
+// TANE's level maps hold every partition the next level's products read,
+// so even a 1-byte cap must not force a single duplicate build: the walk
+// builds exactly the distinct attribute sets it requests (what a cache
+// that never evicts builds), and its output matches a cacheless run.
+TEST(PliCacheTest, EngineTaneBuildsEachLatticePartitionOnce) {
+  Relation r = MakeRandomRelation(41, 300, 8, 4);
+  for (double max_error : {0.0, 0.05}) {
+    TaneOptions options;
+    options.max_lhs_size = 3;
+    options.max_error = max_error;
+    auto cacheless = DiscoverFdsTane(r, options);
+    ASSERT_TRUE(cacheless.ok());
+
+    auto run = [&](size_t cache_max_bytes, PliCache::Stats* stats) {
+      EngineOptions engine_options;
+      engine_options.num_threads = 1;
+      engine_options.cache_max_bytes = cache_max_bytes;
+      DiscoveryEngine engine(engine_options);
+      auto fds = engine.Tane(r, options);
+      *stats = engine.CacheStats();
+      return fds;
+    };
+    PliCache::Stats unbounded, tight;
+    auto reference = run(size_t{1} << 40, &unbounded);
+    auto fds = run(1, &tight);
+    ASSERT_TRUE(reference.ok());
+    ASSERT_TRUE(fds.ok());
+    EXPECT_EQ(unbounded.evictions, 0);
+    EXPECT_EQ(unbounded.builds, unbounded.misses);
+    EXPECT_GT(unbounded.builds, 8 + 28) << "walk too shallow to matter";
+    EXPECT_EQ(tight.builds, unbounded.builds) << "max_error " << max_error;
+    ASSERT_EQ(fds->size(), cacheless->size());
+    for (size_t i = 0; i < fds->size(); ++i) {
+      EXPECT_EQ((*fds)[i].lhs, (*cacheless)[i].lhs);
+      EXPECT_EQ((*fds)[i].rhs, (*cacheless)[i].rhs);
+      EXPECT_EQ((*fds)[i].error, (*cacheless)[i].error);
+    }
+  }
+}
+
+// An out-of-core walk trims the cache when it returns: of everything it
+// built, only the pinned leaves stay resident under a 1-byte cap.
+TEST(PliCacheTest, OutOfCoreTaneTrimsItsPartitionsOnReturn) {
+  Rng rng(43);
+  std::string csv = "c0,c1,c2,c3,c4,c5\n";
+  for (int r = 0; r < 300; ++r) {
+    for (int c = 0; c < 6; ++c) {
+      csv += std::to_string(rng.Uniform(0, 3)) + (c < 5 ? "," : "\n");
+    }
+  }
+  auto sharded = ShardedEncodedRelation::IngestCsvString(csv, {});
+  ASSERT_TRUE(sharded.ok()) << sharded.status().message();
+  PliCache leaves(**sharded);
+  for (int a = 0; a < 6; ++a) leaves.Get(AttrSet::Single(a));
+  PliCache::Options options;
+  options.max_bytes = 1;
+  PliCache cache(**sharded, options);
+  TaneOptions tane;
+  tane.max_lhs_size = 3;
+  ASSERT_TRUE(DiscoverFdsTane(&cache, tane).ok());
+  EXPECT_GT(cache.stats().builds, 6 + 15) << "walk too shallow to matter";
+  EXPECT_EQ(cache.stats().bytes, leaves.stats().bytes);
+}
+
 TEST(PliCacheTest, ConcurrentGetsAgreeWithGroundTruth) {
   Relation r = MakeRandomRelation(47, 90, 6, 3);
   PliCache cache(r);
